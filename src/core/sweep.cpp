@@ -6,21 +6,11 @@
 #include <thread>
 
 #include "sim/simcheck.hpp"
-#include "sim/simrace.hpp"
 
 namespace mutsvc::core::sweep {
 
-namespace {
-// Host-thread identity, not simulation state: thread_local gives every
-// sweep worker its own flag, so trials cannot observe each other through it.
-thread_local bool t_inside_worker = false;  // simlint:allow(global-mutable)
-}  // namespace
-
-bool inside_worker() { return t_inside_worker; }
-
 std::size_t configured_jobs() {
   // Host introspection for a worker-pool size, not simulation state.
-  // simlint:allow(sim-shared-across-threads)
   const unsigned hc = std::thread::hardware_concurrency();
   const std::size_t fallback = hc > 0 ? hc : 1;
   const char* env = std::getenv("MUTSVC_JOBS");
@@ -42,7 +32,6 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
     // trial behaves identically whichever worker (or the inline path) runs
     // it. Hard violations still throw and are captured like any failure.
     simcheck::reset();
-    simrace::reset();
     try {
       body(i);
     } catch (...) {
@@ -56,14 +45,12 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
     // Share-nothing fan-out: workers claim the next unstarted index from an
     // atomic ticket; results land in index-addressed slots, so merge order
     // equals submission order regardless of scheduling.
-    // simlint:allow(sim-shared-across-threads)
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     const std::size_t workers = jobs < n ? jobs : n;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
-        t_inside_worker = true;
         for (;;) {
           const std::size_t i = next.fetch_add(1);
           if (i >= n) return;

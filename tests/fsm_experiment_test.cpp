@@ -14,6 +14,7 @@
 #include "apps/rubis/rubis.hpp"
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
+#include "core/sweep.hpp"
 #include "workload/arrivals.hpp"
 
 namespace mutsvc {
@@ -78,15 +79,13 @@ TEST(FsmExperimentTest, RepeatRunsAreBitIdentical) {
   EXPECT_EQ(digest(), digest());
 }
 
-TEST(FsmExperimentTest, ParallelDomainsLeaveResultsBitIdentical) {
-  // The FSM engine lives in its group's client domain and records through
-  // Simulator::sequenced, so the windowed parallel executor must reproduce
-  // the sequential trajectory exactly.
-  auto run_with = [](int workers) {
+TEST(FsmExperimentTest, SweepWorkerRunsRepeatTheInlineRun) {
+  // Repeat identity across the one place host threads meet a simulator:
+  // the same FSM trial run inline and on two core::sweep workers must give
+  // the same trajectory.
+  auto run_once = [] {
     apps::petstore::PetStoreApp app;
-    ExperimentSpec spec = fsm_spec();
-    spec.parallel_domains = workers;
-    core::Experiment exp{app.driver(), spec, core::petstore_calibration()};
+    core::Experiment exp{app.driver(), fsm_spec(), core::petstore_calibration()};
     exp.run();
     const auto& r = exp.results();
     std::vector<double> digest;
@@ -98,7 +97,11 @@ TEST(FsmExperimentTest, ParallelDomainsLeaveResultsBitIdentical) {
     digest.push_back(r.pattern_mean_ms("Buyer", stats::ClientGroup::kLocal));
     return digest;
   };
-  EXPECT_EQ(run_with(0), run_with(2));
+  const std::vector<double> inline_run = run_once();
+  std::vector<std::vector<double>> worker_runs(2);
+  core::sweep::run_indexed(
+      worker_runs.size(), [&](std::size_t i) { worker_runs[i] = run_once(); }, /*jobs=*/2);
+  for (const auto& run : worker_runs) EXPECT_EQ(run, inline_run);
 }
 
 TEST(FsmExperimentTest, DriverWithoutModelsIsRefused) {

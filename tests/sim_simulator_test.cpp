@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -317,6 +318,82 @@ TEST(SimMutexTest, MutualExclusionFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_FALSE(m.locked());
   EXPECT_EQ(sim.now(), SimTime::origin() + ms(15));
+}
+
+
+// --- domain-tagged event order (DESIGN §15) ----------------------------------
+
+TEST(TaggedOrderTest, SameTimeEventsOrderByOwnerThenSequence) {
+  // The order key is (time, owner, seq): at equal times every event created
+  // by domain 0 runs before any created by domain 1, whatever the order of
+  // creation.
+  Simulator sim;
+  sim.enable_domains(2);
+  std::vector<int> order;
+  {
+    Simulator::DomainScope scope(sim, 1);
+    sim.schedule_after(ms(5), [&] { order.push_back(10); });
+    sim.schedule_after(ms(5), [&] { order.push_back(11); });
+  }
+  {
+    Simulator::DomainScope scope(sim, 0);
+    sim.schedule_after(ms(5), [&] { order.push_back(0); });
+  }
+  sim.run_until();
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 11}));
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffU;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// One task per domain: local timer chatter plus a periodic hop to the next
+// domain and back through wait_in — the cross-domain edge the Network takes.
+// Every iteration appends to a shared log, so the interleaving of the
+// domains (not just the totals) is pinned.
+[[nodiscard]] Task<void> domain_chatter(Simulator& sim, std::uint32_t id, std::uint32_t domains,
+                                        RngStream rng, std::vector<std::uint64_t>& log,
+                                        SimTime end) {
+  const auto dest = static_cast<Simulator::DomainId>((id + 1) % domains);
+  const auto home = static_cast<Simulator::DomainId>(id);
+  std::uint64_t draws = 0;
+  while (sim.now() < end) {
+    for (int i = 0; i < 3; ++i) {
+      co_await sim.wait(us(700 + 13 * id + i));
+      const std::uint64_t draw = rng.uniform_int(0, 1 << 20);
+      draws += draw;
+      log.push_back((static_cast<std::uint64_t>(id) << 56) ^
+                    (static_cast<std::uint64_t>(sim.now().count_micros()) << 8) ^ (draw & 0xff));
+    }
+    co_await sim.wait_in(dest, ms(60));
+    co_await sim.wait_in(home, ms(50));
+  }
+  log.push_back(draws);
+}
+
+TEST(TaggedOrderTest, DomainChatterTrajectoryIsPinned) {
+  constexpr std::uint32_t kDomains = 4;
+  Simulator sim(90125);
+  sim.enable_domains(kDomains);
+  const SimTime end = SimTime::origin() + sec(6);
+  std::vector<std::uint64_t> log;
+  for (std::uint32_t d = 0; d < kDomains; ++d) {
+    Simulator::DomainScope scope(sim, static_cast<Simulator::DomainId>(d));
+    sim.spawn(domain_chatter(sim, d, kDomains, sim.rng().fork("chatter-" + std::to_string(d)),
+                             log, end));
+  }
+  sim.run_until(end);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::uint64_t v : log) h = fnv1a(h, v);
+  h = fnv1a(h, log.size());
+  // Pinned values: a change to the (time, owner, seq) key, or to how
+  // wait_in keys a cross-domain resume, moves the digest.
+  EXPECT_EQ(sim.executed_events(), 1072u);
+  EXPECT_EQ(h, 18242210664790876914ULL);
 }
 
 }  // namespace

@@ -225,8 +225,27 @@ TEST(SimlintSimSharedAcrossThreads, SimulatorWithoutThreadsIsFine) {
   EXPECT_EQ(count_rule(f, "sim-shared-across-threads"), 0u);
 }
 
+TEST(SimlintSimSharedAcrossThreads, SweepRunnerIsTheOneSanctionedCrossing) {
+  const auto sweep = lint_source("src/core/sweep.cpp",
+                                 "sim::Simulator* owned_by_trial;\n"
+                                 "std::vector<std::thread> pool;\n");
+  EXPECT_EQ(count_rule(sweep, "sim-shared-across-threads"), 0u);
+  // No other kernel file is sanctioned: a within-trial executor is flagged,
+  // and the diagnostic points at core::sweep.
+  const auto kernel = lint_source("src/sim/parallel.cpp",
+                                  "void Simulator::run_windows() {\n"
+                                  "  std::vector<std::thread> pool;\n"
+                                  "}\n");
+  ASSERT_EQ(count_rule(kernel, "sim-shared-across-threads"), 1u);
+  for (const auto& finding : kernel) {
+    if (finding.rule == "sim-shared-across-threads") {
+      EXPECT_NE(finding.message.find("core/sweep.cpp"), std::string::npos) << finding.message;
+    }
+  }
+}
+
 TEST(SimlintSimSharedAcrossThreads, SuppressibleWhereJustified) {
-  const auto f = lint_source("src/core/sweep.cpp",
+  const auto f = lint_source("tests/sweep_test.cpp",
                              "sim::Simulator* owned_by_trial;\n"
                              "// simlint:allow(sim-shared-across-threads)\n"
                              "std::vector<std::thread> pool;\n");

@@ -45,6 +45,11 @@ HarnessCalibration cal_gridviz() {
   return cal;
 }
 
+// Without this gtest prints an AppCase as its raw bytes, i.e. as pointers that
+// move with every build and load address; ctest's discovered test names carry
+// that text, so they would change from build to build.
+void PrintTo(const AppCase& c, std::ostream* os) { *os << c.name; }
+
 const AppCase kApps[] = {
     {"petstore", &make_petstore, &cal_petstore},
     {"rubis", &make_rubis, &cal_rubis},

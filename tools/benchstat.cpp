@@ -11,7 +11,10 @@
 // changed `events` count means the simulation trajectory changed, which is
 // a correctness bug, not a perf delta. Histogram-derived metrics (`hist_`
 // prefix or `_bucket` suffix convention from perfjson.hpp) are simulated
-// counts: strictly deterministic, never throughput-gated.
+// counts: strictly deterministic, never throughput-gated. Every metric in
+// OLD must also be in NEW: a baseline metric missing from the candidate (a
+// bench that stopped part-way, a renamed metric) fails the comparison.
+// Metrics only NEW has are listed and allowed.
 //
 // The parser handles exactly the subset of JSON that perfjson.hpp emits
 // (string keys, numeric values, fixed nesting); it is not a general JSON
@@ -128,9 +131,18 @@ int main(int argc, char** argv) {
   std::printf("%-52s %14s %14s %9s\n", "metric", "old", "new", "delta");
   bool regressed = false;
   bool determinism_broken = false;
+  bool missing = false;
   for (const auto& [name, oldv] : oldf.metrics) {
     auto it = newmap.find(name);
-    if (it == newmap.end()) continue;
+    if (it == newmap.end()) {
+      std::printf("%-52s %14.6g %14s\n", name.c_str(), oldv, "missing");
+      std::fprintf(stderr,
+                   "benchstat: MISSING %s: in the baseline but not in the candidate "
+                   "(a bench that stopped part-way or a renamed metric)\n",
+                   name.c_str());
+      missing = true;
+      continue;
+    }
     const double newv = it->second;
     const double delta = oldv != 0.0 ? (newv - oldv) / oldv : 0.0;
     std::printf("%-52s %14.6g %14.6g %+8.1f%%\n", name.c_str(), oldv, newv, delta * 100.0);
@@ -151,7 +163,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (regressed || determinism_broken) return 1;
+  std::map<std::string, double> oldmap(oldf.metrics.begin(), oldf.metrics.end());
+  for (const auto& [name, newv] : newf.metrics) {
+    if (!oldmap.contains(name)) {
+      std::printf("%-52s %14s %14.6g %9s\n", name.c_str(), "-", newv, "new");
+    }
+  }
+
+  if (regressed || determinism_broken || missing) return 1;
   std::cout << "benchstat: OK (max regression " << max_regression * 100.0 << "%)\n";
   return 0;
 }
