@@ -46,7 +46,7 @@
 #include "stats/collector.hpp"
 #include "tools/perf/perfjson.hpp"
 #include "workload/arrivals.hpp"
-#include "workload/loadgen.hpp"
+#include "workload/session.hpp"
 #include "workload/session_fsm.hpp"
 
 using namespace mutsvc;

@@ -101,7 +101,6 @@ CellResult run_cell(const Cell& cell, const Scenario& sc) {
   // traffic is), remote site 1 half a period later; the local group is
   // flat background.
   const RateEnvelope day = RateEnvelope::diurnal(0.05, 1.2, sc.period);
-  spec.fsm_load.enabled = true;
   spec.fsm_load.group_arrivals = {RateEnvelope::constant(0.1),
                                   day.shifted(sc.period * 0.5), day};
 

@@ -40,7 +40,7 @@
 #include "stats/collector.hpp"
 #include "tools/perf/perfjson.hpp"
 #include "workload/arrivals.hpp"
-#include "workload/loadgen.hpp"
+#include "workload/session.hpp"
 #include "workload/session_fsm.hpp"
 
 namespace {
@@ -182,7 +182,6 @@ ExperimentSpec scenario_spec() {
   spec.warmup = mutsvc::sim::sec(30);
   spec.seed = 11;
   spec.total_request_rate = 30.0;
-  spec.fsm_load.enabled = true;
   return spec;
 }
 

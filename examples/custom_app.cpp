@@ -24,75 +24,64 @@ namespace {
 
 constexpr int kArticles = 200;
 
-/// Reader session: front page, a few article views, one search.
-class ReaderSession final : public workload::SessionScript {
+/// Reader session: front page, a few article views, one search. A session
+/// script is a pure function of (step, scratch, rng): the load engine
+/// keeps the per-session state, so one model instance serves every reader.
+class ReaderModel final : public workload::FsmScriptModel {
  public:
-  explicit ReaderSession(sim::RngStream rng) : rng_(std::move(rng)) {}
-
-  std::optional<workload::PageRequest> next() override {
-    if (step_ >= 12) return std::nullopt;
-    ++step_;
+  std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch&,
+                                            workload::SmallRng& rng) const override {
+    if (step >= 12) return std::nullopt;
     workload::PageRequest req;
     req.pattern = "Reader";
     req.component = "WikiWeb";
-    if (step_ == 1) {
+    if (step == 0) {
       req.page = "Front Page";
       req.method = "front";
-    } else if (step_ % 6 == 0) {
+    } else if ((step + 1) % 6 == 0) {
       req.page = "Search";
       req.method = "search";
       req.args = {Value{std::string{"history"}}};
     } else {
       req.page = "Article";
       req.method = "article";
-      req.args = {Value{rng_.uniform_int(1, kArticles)}};
+      req.args = {Value{rng.uniform_int(1, kArticles)}};
     }
     return req;
   }
   const char* pattern() const override { return "Reader"; }
-
- private:
-  sim::RngStream rng_;
-  int step_ = 0;
 };
 
 /// Editor session: view an article, edit it, review the revision list.
-class EditorSession final : public workload::SessionScript {
+/// The article is drawn at step 0 and kept in scratch.w0.
+class EditorModel final : public workload::FsmScriptModel {
  public:
-  explicit EditorSession(sim::RngStream rng) : rng_(std::move(rng)) {
-    article_ = rng_.uniform_int(1, kArticles);
-  }
-
-  std::optional<workload::PageRequest> next() override {
+  std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
+                                            workload::SmallRng& rng) const override {
+    if (step == 0) scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(1, kArticles));
+    const auto article = static_cast<std::int64_t>(scratch.w0);
     workload::PageRequest req;
     req.pattern = "Editor";
     req.component = "WikiWeb";
-    switch (step_++) {
+    req.args = {Value{article}};
+    switch (step) {
       case 0:
         req.page = "Article";
         req.method = "article";
-        req.args = {Value{article_}};
         return req;
       case 1:
         req.page = "Save Edit";
         req.method = "edit";
-        req.args = {Value{article_}};
         return req;
       case 2:
         req.page = "Revisions";
         req.method = "revisions";
-        req.args = {Value{article_}};
         return req;
       default:
         return std::nullopt;
     }
   }
   const char* pattern() const override { return "Editor"; }
-
- private:
-  sim::RngStream rng_;
-  std::int64_t article_ = 1;
-  int step_ = 0;
 };
 
 struct WikiApp {
@@ -200,22 +189,8 @@ struct WikiApp {
       rt.bind_entity("Article", "article");
       rt.bind_entity("Revision", "revision");
     };
-    d.browser_factory = [](sim::RngStream rng) -> workload::SessionFactory {
-      auto master = std::make_shared<sim::RngStream>(std::move(rng));
-      auto n = std::make_shared<int>(0);
-      return [master, n] {
-        return std::unique_ptr<workload::SessionScript>(
-            new ReaderSession(master->fork(std::to_string((*n)++))));
-      };
-    };
-    d.writer_factory = [](sim::RngStream rng) -> workload::SessionFactory {
-      auto master = std::make_shared<sim::RngStream>(std::move(rng));
-      auto n = std::make_shared<int>(0);
-      return [master, n] {
-        return std::unique_ptr<workload::SessionScript>(
-            new EditorSession(master->fork(std::to_string((*n)++))));
-      };
-    };
+    d.fsm_browser_model = [](double) { return std::make_shared<const ReaderModel>(); };
+    d.fsm_writer_model = [](double) { return std::make_shared<const EditorModel>(); };
     d.table_pages = {{"Reader", "Front Page"},
                      {"Reader", "Article"},
                      {"Reader", "Search"},

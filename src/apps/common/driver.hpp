@@ -10,8 +10,6 @@
 #include "component/model.hpp"
 #include "component/runtime.hpp"
 #include "db/database.hpp"
-#include "sim/random.hpp"
-#include "workload/session.hpp"
 #include "workload/session_fsm.hpp"
 
 namespace mutsvc::apps {
@@ -24,12 +22,10 @@ struct AppDriver {
   const AppMetadata* meta = nullptr;
   std::function<void(db::Database&)> install_database;
   std::function<void(comp::Runtime&)> bind_entities;
-  std::function<workload::SessionFactory(sim::RngStream)> browser_factory;
-  std::function<workload::SessionFactory(sim::RngStream)> writer_factory;
-  /// Optional FSM script models for the million-session load engine
-  /// (DESIGN §16): pure per-step functions over the 40-byte session record,
-  /// parameterized by the Zipf item-popularity exponent (0 = uniform). Apps
-  /// that leave these unset cannot run with ExperimentSpec::fsm_load.
+  /// The two usage patterns as FSM script models (DESIGN §16): pure
+  /// per-step functions over the 40-byte session record, parameterized by
+  /// the Zipf item-popularity exponent (0 = the paper's uniform catalog
+  /// use). The experiment harness refuses a driver that leaves them unset.
   std::function<std::shared_ptr<const workload::FsmScriptModel>(double zipf_s)>
       fsm_browser_model;
   std::function<std::shared_ptr<const workload::FsmScriptModel>(double zipf_s)>

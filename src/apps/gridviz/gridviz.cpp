@@ -2,6 +2,7 @@
 
 #include <array>
 #include <memory>
+#include <stdexcept>
 
 #include "db/query.hpp"
 
@@ -240,7 +241,7 @@ void GridVizApp::bind_entities(comp::Runtime& rt) const {
   rt.bind_entity("Operator", "operators");
 }
 
-// --- session scripts ------------------------------------------------------------
+// --- session scripts as FSM models (DESIGN §16) ----------------------------------
 
 namespace {
 
@@ -257,68 +258,82 @@ workload::PageRequest make_request(const char* pattern, std::string page, std::s
 }
 
 /// Analyst: open the catalog, pick a run, scrub frames, watch dashboards.
-class AnalystScript final : public workload::SessionScript {
+/// scratch.w0 carries the open dataset, scratch.w1 the scrub position.
+class FsmAnalystModel final : public workload::FsmScriptModel {
  public:
-  AnalystScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {}
+  explicit FsmAnalystModel(Shape shape) : shape_(shape) {}
 
-  std::optional<workload::PageRequest> next() override {
-    if (issued_ >= GridVizApp::kAnalystSessionLength) return std::nullopt;
-    ++issued_;
-    if (issued_ == 1) return make_request("Analyst", "Catalog", "catalog", {});
-    static constexpr std::array<double, 4> kWeights = {10, 10, 55, 25};
-    switch (rng_.weighted_index(kWeights)) {
-      case 0: return make_request("Analyst", "Catalog", "catalog", {});
-      case 1: {
-        dataset_ = rng_.uniform_int(1, shape_.datasets);
-        timestep_ = 0;
-        return make_request("Analyst", "Dataset", "dataset", {Value{dataset_}});
-      }
-      case 2: {
-        if (dataset_ == 0) dataset_ = rng_.uniform_int(1, shape_.datasets);
-        // Scrubbing walks forward through the sequence (temporal locality).
-        timestep_ = (timestep_ + static_cast<int>(rng_.uniform_int(1, 3))) %
-                    shape_.frames_per_dataset;
-        const std::int64_t frame = shape_.frame_id(dataset_, timestep_);
-        return make_request("Analyst", "Frame", "frame", {Value{frame}}, 48 * 1024);
-      }
-      default: {
-        if (dataset_ == 0) dataset_ = rng_.uniform_int(1, shape_.datasets);
-        return make_request("Analyst", "Dashboard", "dashboard", {Value{dataset_}});
-      }
+  std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
+                                            workload::SmallRng& rng) const override {
+    if (step >= static_cast<std::uint32_t>(GridVizApp::kAnalystSessionLength)) {
+      return std::nullopt;
     }
+    if (step == 0) return make_request("Analyst", "Catalog", "catalog", {});
+    auto dataset = static_cast<std::int64_t>(scratch.w0);
+    auto timestep = static_cast<int>(scratch.w1);
+    static constexpr std::array<double, 4> kWeights = {10, 10, 55, 25};
+    std::optional<workload::PageRequest> req;
+    switch (rng.weighted_index(kWeights)) {
+      case 0: req = make_request("Analyst", "Catalog", "catalog", {}); break;
+      case 1:
+        dataset = rng.uniform_int(1, shape_.datasets);
+        timestep = 0;
+        req = make_request("Analyst", "Dataset", "dataset", {Value{dataset}});
+        break;
+      case 2:
+        if (dataset == 0) dataset = rng.uniform_int(1, shape_.datasets);
+        // Scrubbing walks forward through the sequence (temporal locality).
+        timestep = (timestep + static_cast<int>(rng.uniform_int(1, 3))) %
+                   shape_.frames_per_dataset;
+        req = make_request("Analyst", "Frame", "frame",
+                           {Value{shape_.frame_id(dataset, timestep)}}, 48 * 1024);
+        break;
+      default:
+        if (dataset == 0) dataset = rng.uniform_int(1, shape_.datasets);
+        req = make_request("Analyst", "Dashboard", "dashboard", {Value{dataset}});
+        break;
+    }
+    scratch.w0 = static_cast<std::uint64_t>(dataset);
+    scratch.w1 = static_cast<std::uint64_t>(timestep);
+    return req;
   }
 
   const char* pattern() const override { return "Analyst"; }
 
  private:
   Shape shape_;
-  sim::RngStream rng_;
-  int issued_ = 0;
-  std::int64_t dataset_ = 0;
-  int timestep_ = 0;
 };
 
 /// Operator: authenticate, steer the run, stream instrument readings.
-class OperatorScript final : public workload::SessionScript {
+/// scratch.w0 packs the operator (low half) and dataset (high half),
+/// scratch.w1 the probe, all drawn at step 0; the steering value is drawn
+/// at the Steer step.
+class FsmOperatorModel final : public workload::FsmScriptModel {
  public:
-  OperatorScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {
-    operator_ = rng_.uniform_int(1, shape_.operators);
-    dataset_ = rng_.uniform_int(1, shape_.datasets);
-    probe_ = shape_.probe_id(dataset_,
-                             static_cast<int>(rng_.uniform_int(0, shape_.probes_per_dataset - 1)));
-  }
+  explicit FsmOperatorModel(Shape shape) : shape_(shape) {}
 
-  std::optional<workload::PageRequest> next() override {
-    const std::string login = "op" + std::to_string(operator_);
-    switch (step_++) {
-      case 0: return make_request("Operator", "Auth", "auth", {Value{login}});
+  std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
+                                            workload::SmallRng& rng) const override {
+    if (step == 0) {
+      const std::int64_t op = rng.uniform_int(1, shape_.operators);
+      const std::int64_t dataset = rng.uniform_int(1, shape_.datasets);
+      scratch.w0 = workload::FsmScratch::pack(op, dataset);
+      scratch.w1 = static_cast<std::uint64_t>(shape_.probe_id(
+          dataset, static_cast<int>(rng.uniform_int(0, shape_.probes_per_dataset - 1))));
+    }
+    const std::int64_t op = workload::FsmScratch::lo(scratch.w0);
+    const std::int64_t dataset = workload::FsmScratch::hi(scratch.w0);
+    const auto probe = static_cast<std::int64_t>(scratch.w1);
+    switch (step) {
+      case 0:
+        return make_request("Operator", "Auth", "auth", {Value{"op" + std::to_string(op)}});
       case 1:
         return make_request("Operator", "Steer", "steer",
-                            {Value{dataset_}, Value{rng_.uniform(0.1, 9.9)}});
-      case 2: return make_request("Operator", "Append", "append", {Value{probe_}});
-      case 3: return make_request("Operator", "Dashboard", "dashboard", {Value{dataset_}});
-      case 4: return make_request("Operator", "Append", "append", {Value{probe_}});
-      case 5: return make_request("Operator", "Dashboard", "dashboard", {Value{dataset_}});
+                            {Value{dataset}, Value{rng.uniform(0.1, 9.9)}});
+      case 2: return make_request("Operator", "Append", "append", {Value{probe}});
+      case 3: return make_request("Operator", "Dashboard", "dashboard", {Value{dataset}});
+      case 4: return make_request("Operator", "Append", "append", {Value{probe}});
+      case 5: return make_request("Operator", "Dashboard", "dashboard", {Value{dataset}});
       default: return std::nullopt;
     }
   }
@@ -327,33 +342,28 @@ class OperatorScript final : public workload::SessionScript {
 
  private:
   Shape shape_;
-  sim::RngStream rng_;
-  int step_ = 0;
-  std::int64_t operator_ = 0;
-  std::int64_t dataset_ = 0;
-  std::int64_t probe_ = 0;
 };
+
+/// Popularity skew is modelled by Pet Store's scripts only.
+void refuse_zipf(double zipf_s) {
+  if (zipf_s != 0.0) {
+    throw std::invalid_argument(
+        "GridViz: Zipf item popularity (fsm_load.zipf_s) is not modelled");
+  }
+}
 
 }  // namespace
 
-workload::SessionFactory GridVizApp::analyst_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<AnalystScript>(shape,
-                                           master->fork("s" + std::to_string((*counter)++)));
-  };
+std::shared_ptr<const workload::FsmScriptModel> GridVizApp::fsm_analyst_model(
+    double zipf_s) const {
+  refuse_zipf(zipf_s);
+  return std::make_shared<FsmAnalystModel>(shape_);
 }
 
-workload::SessionFactory GridVizApp::operator_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<OperatorScript>(shape,
-                                            master->fork("s" + std::to_string((*counter)++)));
-  };
+std::shared_ptr<const workload::FsmScriptModel> GridVizApp::fsm_operator_model(
+    double zipf_s) const {
+  refuse_zipf(zipf_s);
+  return std::make_shared<FsmOperatorModel>(shape_);
 }
 
 std::vector<std::pair<std::string, std::string>> GridVizApp::table_pages() {
@@ -369,8 +379,8 @@ AppDriver GridVizApp::driver() const {
   d.meta = &meta_;
   d.install_database = [this](db::Database& db) { install_database(db); };
   d.bind_entities = [this](comp::Runtime& rt) { bind_entities(rt); };
-  d.browser_factory = [this](sim::RngStream rng) { return analyst_factory(std::move(rng)); };
-  d.writer_factory = [this](sim::RngStream rng) { return operator_factory(std::move(rng)); };
+  d.fsm_browser_model = [this](double zipf_s) { return fsm_analyst_model(zipf_s); };
+  d.fsm_writer_model = [this](double zipf_s) { return fsm_operator_model(zipf_s); };
   d.table_pages = table_pages();
   d.browser_pattern = "Analyst";
   d.writer_pattern = "Operator";

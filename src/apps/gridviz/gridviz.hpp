@@ -10,8 +10,6 @@
 #include "component/model.hpp"
 #include "component/runtime.hpp"
 #include "db/database.hpp"
-#include "sim/random.hpp"
-#include "workload/session.hpp"
 
 namespace mutsvc::apps::gridviz {
 
@@ -66,8 +64,12 @@ class GridVizApp {
   void install_database(db::Database& db) const;
   void bind_entities(comp::Runtime& rt) const;
 
-  [[nodiscard]] workload::SessionFactory analyst_factory(sim::RngStream rng) const;
-  [[nodiscard]] workload::SessionFactory operator_factory(sim::RngStream rng) const;
+  /// The two usage patterns as FSM script models (DESIGN §16). A nonzero
+  /// `zipf_s` is refused with std::invalid_argument.
+  [[nodiscard]] std::shared_ptr<const workload::FsmScriptModel> fsm_analyst_model(
+      double zipf_s) const;
+  [[nodiscard]] std::shared_ptr<const workload::FsmScriptModel> fsm_operator_model(
+      double zipf_s) const;
 
   [[nodiscard]] static std::vector<std::pair<std::string, std::string>> table_pages();
 

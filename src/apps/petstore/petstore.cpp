@@ -343,122 +343,9 @@ void PetStoreApp::bind_entities(comp::Runtime& rt) const {
   rt.bind_entity("LineItem", "lineitem");
 }
 
-// --- session scripts -----------------------------------------------------------
+// --- session scripts (Tables 2 and 3) as FSM models (DESIGN §16) --------------
 
 namespace {
-
-/// Table 2: 20 requests, Main 5% / Category 15% / Product 30% / Item 45% /
-/// Search 5%, logically ordered (an Item always belongs to the previously
-/// requested Product, a Product to the previous Category).
-class BrowserScript final : public workload::SessionScript {
- public:
-  BrowserScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {}
-
-  std::optional<workload::PageRequest> next() override {
-    if (issued_ >= PetStoreApp::kBrowserSessionLength) return std::nullopt;
-    ++issued_;
-    if (issued_ == 1) return page("Main", "main", {});
-
-    static constexpr std::array<double, 5> kWeights = {5, 15, 30, 45, 5};
-    switch (rng_.weighted_index(kWeights)) {
-      case 0:
-        return page("Main", "main", {});
-      case 1: {
-        category_ = rng_.uniform_int(1, shape_.categories);
-        product_ = 0;
-        return page("Category", "category", {Value{category_}});
-      }
-      case 2: {
-        if (category_ == 0) category_ = rng_.uniform_int(1, shape_.categories);
-        product_ = shape_.product_id(
-            category_, static_cast<int>(rng_.uniform_int(0, shape_.products_per_category - 1)));
-        return page("Product", "product", {Value{product_}});
-      }
-      case 3: {
-        if (product_ == 0) {
-          if (category_ == 0) category_ = rng_.uniform_int(1, shape_.categories);
-          product_ = shape_.product_id(
-              category_, static_cast<int>(rng_.uniform_int(0, shape_.products_per_category - 1)));
-        }
-        std::int64_t item = shape_.item_id(
-            product_, static_cast<int>(rng_.uniform_int(0, shape_.items_per_product - 1)));
-        return page("Item", "item", {Value{item}});
-      }
-      default:
-        return page("Search", "search",
-                    {Value{std::string{rng_.pick(std::vector<std::string>{
-                        "fish", "dog", "cat", "bird", "snake"})}}});
-    }
-  }
-
-  const char* pattern() const override { return "Browser"; }
-
- private:
-  workload::PageRequest page(std::string name, std::string method, std::vector<Value> args) {
-    workload::PageRequest req;
-    req.page = std::move(name);
-    req.pattern = "Browser";
-    req.component = "PetStoreWeb";
-    req.method = std::move(method);
-    req.args = std::move(args);
-    return req;
-  }
-
-  Shape shape_;
-  sim::RngStream rng_;
-  int issued_ = 0;
-  std::int64_t category_ = 0;
-  std::int64_t product_ = 0;
-};
-
-/// Table 3: the fixed buyer scenario — sign in, buy one item, sign out.
-class BuyerScript final : public workload::SessionScript {
- public:
-  BuyerScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {
-    account_ = rng_.uniform_int(1, shape_.accounts);
-    std::int64_t cat = rng_.uniform_int(1, shape_.categories);
-    std::int64_t prod = shape_.product_id(
-        cat, static_cast<int>(rng_.uniform_int(0, shape_.products_per_category - 1)));
-    item_ = shape_.item_id(prod,
-                           static_cast<int>(rng_.uniform_int(0, shape_.items_per_product - 1)));
-  }
-
-  std::optional<workload::PageRequest> next() override {
-    switch (step_++) {
-      case 0: return page("Main", "main", {});
-      case 1: return page("Signin", "signin", {});
-      case 2: return page("Verify Signin", "verifysignin", {Value{account_}});
-      case 3: return page("Shopping Cart", "cart", {Value{item_}});
-      case 4: return page("Checkout", "checkout", {});
-      case 5: return page("Place Order", "placeorder", {});
-      case 6: return page("Billing", "billing", {});
-      case 7: return page("Commit Order", "commitorder", {Value{account_}, Value{item_}});
-      case 8: return page("Signout", "signout", {});
-      default: return std::nullopt;
-    }
-  }
-
-  const char* pattern() const override { return "Buyer"; }
-
- private:
-  workload::PageRequest page(std::string name, std::string method, std::vector<Value> args) {
-    workload::PageRequest req;
-    req.page = std::move(name);
-    req.pattern = "Buyer";
-    req.component = "PetStoreWeb";
-    req.method = std::move(method);
-    req.args = std::move(args);
-    return req;
-  }
-
-  Shape shape_;
-  sim::RngStream rng_;
-  int step_ = 0;
-  std::int64_t account_ = 0;
-  std::int64_t item_ = 0;
-};
-
-// --- FSM script models (million-session load engine, DESIGN §16) ---------------
 
 /// Rank -> item id in fixed catalog order: rank 0 is item 1001001 (category
 /// 1, first product, first item). Gives the Zipf sampler a stable popularity
@@ -484,9 +371,10 @@ workload::PageRequest fsm_page(const char* pattern, std::string name, std::strin
   return req;
 }
 
-/// Table 2 as an FSM: scratch.w0 carries the current category, scratch.w1
-/// the current product — the same logically ordered chain as BrowserScript,
-/// replayed from 16 bytes of per-session state.
+/// Table 2: 20 requests, Main 5% / Category 15% / Product 30% / Item 45% /
+/// Search 5%, logically ordered (an Item always belongs to the previously
+/// requested Product, a Product to the previous Category). scratch.w0
+/// carries the current category, scratch.w1 the current product.
 class FsmBrowserModel final : public workload::FsmScriptModel {
  public:
   FsmBrowserModel(Shape shape, double zipf_s) : shape_(shape) {
@@ -559,8 +447,8 @@ class FsmBrowserModel final : public workload::FsmScriptModel {
   std::optional<workload::ZipfSampler> zipf_;
 };
 
-/// Table 3 as an FSM: the account lands in scratch.w0 and the item in
-/// scratch.w1 at step 0 (BuyerScript draws them at construction).
+/// Table 3: the fixed buyer scenario — sign in, buy one item, sign out. The
+/// account lands in scratch.w0 and the item in scratch.w1 at step 0.
 class FsmBuyerModel final : public workload::FsmScriptModel {
  public:
   FsmBuyerModel(Shape shape, double zipf_s) : shape_(shape) {
@@ -611,26 +499,6 @@ class FsmBuyerModel final : public workload::FsmScriptModel {
 
 }  // namespace
 
-workload::SessionFactory PetStoreApp::browser_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<BrowserScript>(shape,
-                                           master->fork("s" + std::to_string((*counter)++)));
-  };
-}
-
-workload::SessionFactory PetStoreApp::buyer_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<BuyerScript>(shape,
-                                         master->fork("s" + std::to_string((*counter)++)));
-  };
-}
-
 std::shared_ptr<const workload::FsmScriptModel> PetStoreApp::fsm_browser_model(
     double zipf_s) const {
   return std::make_shared<FsmBrowserModel>(shape_, zipf_s);
@@ -648,8 +516,6 @@ AppDriver PetStoreApp::driver() const {
   d.meta = &meta_;
   d.install_database = [this](db::Database& db) { install_database(db); };
   d.bind_entities = [this](comp::Runtime& rt) { bind_entities(rt); };
-  d.browser_factory = [this](sim::RngStream rng) { return browser_factory(std::move(rng)); };
-  d.writer_factory = [this](sim::RngStream rng) { return buyer_factory(std::move(rng)); };
   d.fsm_browser_model = [this](double zipf_s) { return fsm_browser_model(zipf_s); };
   d.fsm_writer_model = [this](double zipf_s) { return fsm_buyer_model(zipf_s); };
   d.table_pages = table_pages();

@@ -10,8 +10,6 @@
 #include "component/model.hpp"
 #include "component/runtime.hpp"
 #include "db/database.hpp"
-#include "sim/random.hpp"
-#include "workload/session.hpp"
 
 namespace mutsvc::apps::petstore {
 
@@ -74,12 +72,8 @@ class PetStoreApp {
   /// Binds entity-bean names to their tables on a runtime.
   void bind_entities(comp::Runtime& rt) const;
 
-  /// Session factories for the two usage patterns (Tables 2 and 3).
-  [[nodiscard]] workload::SessionFactory browser_factory(sim::RngStream rng) const;
-  [[nodiscard]] workload::SessionFactory buyer_factory(sim::RngStream rng) const;
-
-  /// FSM script models for the million-session load engine (DESIGN §16):
-  /// the same Table 2/3 scripts as pure per-step functions. `zipf_s > 0`
+  /// The two usage patterns (Tables 2 and 3) as FSM script models (DESIGN
+  /// §16), pure per-step functions shared by every session. `zipf_s > 0`
   /// draws item popularity Zipf(s)-skewed over the whole catalog (rank 0 =
   /// item 1001001) instead of the uniform category/product chain.
   [[nodiscard]] std::shared_ptr<const workload::FsmScriptModel> fsm_browser_model(

@@ -1,7 +1,9 @@
 #include "apps/rubis/rubis.hpp"
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <stdexcept>
 
 #include "db/query.hpp"
 
@@ -341,7 +343,7 @@ void RubisApp::bind_entities(comp::Runtime& rt) const {
   rt.bind_entity("Region", "regions");
 }
 
-// --- session scripts -------------------------------------------------------------
+// --- session scripts (Tables 4 and 5) as FSM models (DESIGN §16) -----------------
 
 namespace {
 
@@ -359,104 +361,116 @@ workload::PageRequest make_request(const char* pattern, std::string page, std::s
 
 /// Table 4: 40 requests with the listed weights, logically ordered (Item /
 /// Bids requests follow a Category listing, User Info follows Bids, ...).
-class BrowserScript final : public workload::SessionScript {
+/// scratch.w0 packs the current region (low half) and category (high
+/// half), scratch.w1 the current item.
+class FsmBrowserModel final : public workload::FsmScriptModel {
  public:
-  BrowserScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {}
+  explicit FsmBrowserModel(Shape shape) : shape_(shape) {}
 
-  std::optional<workload::PageRequest> next() override {
-    if (issued_ >= RubisApp::kBrowserSessionLength) return std::nullopt;
-    ++issued_;
-    if (issued_ == 1) return make_request("Browser", "Main", "main", {});
+  std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
+                                            workload::SmallRng& rng) const override {
+    if (step >= static_cast<std::uint32_t>(RubisApp::kBrowserSessionLength)) {
+      return std::nullopt;
+    }
+    if (step == 0) return make_request("Browser", "Main", "main", {});
 
+    std::int64_t region = workload::FsmScratch::lo(scratch.w0);
+    std::int64_t category = workload::FsmScratch::hi(scratch.w0);
+    auto item = static_cast<std::int64_t>(scratch.w1);
     static constexpr std::array<double, 10> kWeights = {2.5, 2.5, 2.5,  2.5, 2.5,
                                                         7.5, 7.5, 42.5, 15,  15};
-    switch (rng_.weighted_index(kWeights)) {
-      case 0: return make_request("Browser", "Main", "main", {});
-      case 1: return make_request("Browser", "Browse", "browse", {});
-      case 2: return make_request("Browser", "All Categories", "allcategories", {});
-      case 3: return make_request("Browser", "All Regions", "allregions", {});
-      case 4: {
-        region_ = rng_.uniform_int(1, shape_.regions);
-        return make_request("Browser", "Region", "region", {Value{region_}});
-      }
-      case 5: {
-        category_ = rng_.uniform_int(1, shape_.categories);
-        return make_request("Browser", "Category", "category", {Value{category_}});
-      }
-      case 6: {
-        category_ = rng_.uniform_int(1, shape_.categories);
-        if (region_ == 0) region_ = rng_.uniform_int(1, shape_.regions);
-        return make_request("Browser", "Category & Region", "categoryregion",
-                            {Value{category_}, Value{region_}});
-      }
-      case 7: {
-        item_ = pick_item();
-        return make_request("Browser", "Item", "item", {Value{item_}});
-      }
-      case 8: {
-        item_ = pick_item();
-        return make_request("Browser", "Bids", "bids", {Value{item_}});
-      }
+    std::optional<workload::PageRequest> req;
+    switch (rng.weighted_index(kWeights)) {
+      case 0: req = make_request("Browser", "Main", "main", {}); break;
+      case 1: req = make_request("Browser", "Browse", "browse", {}); break;
+      case 2: req = make_request("Browser", "All Categories", "allcategories", {}); break;
+      case 3: req = make_request("Browser", "All Regions", "allregions", {}); break;
+      case 4:
+        region = rng.uniform_int(1, shape_.regions);
+        req = make_request("Browser", "Region", "region", {Value{region}});
+        break;
+      case 5:
+        category = rng.uniform_int(1, shape_.categories);
+        req = make_request("Browser", "Category", "category", {Value{category}});
+        break;
+      case 6:
+        category = rng.uniform_int(1, shape_.categories);
+        if (region == 0) region = rng.uniform_int(1, shape_.regions);
+        req = make_request("Browser", "Category & Region", "categoryregion",
+                           {Value{category}, Value{region}});
+        break;
+      case 7:
+        item = pick_item(category, rng);
+        req = make_request("Browser", "Item", "item", {Value{item}});
+        break;
+      case 8:
+        item = pick_item(category, rng);
+        req = make_request("Browser", "Bids", "bids", {Value{item}});
+        break;
       default: {
-        std::int64_t user = item_ != 0 ? shape_.item_seller(item_)
-                                       : rng_.uniform_int(1, shape_.users);
-        return make_request("Browser", "User Info", "userinfo", {Value{user}});
+        const std::int64_t user =
+            item != 0 ? shape_.item_seller(item) : rng.uniform_int(1, shape_.users);
+        req = make_request("Browser", "User Info", "userinfo", {Value{user}});
+        break;
       }
     }
+    scratch.w0 = workload::FsmScratch::pack(region, category);
+    scratch.w1 = static_cast<std::uint64_t>(item);
+    return req;
   }
 
   const char* pattern() const override { return "Browser"; }
 
  private:
-  [[nodiscard]] std::int64_t pick_item() {
-    if (category_ == 0) category_ = rng_.uniform_int(1, shape_.categories);
+  /// An item of the current category (drawing one first if none is open).
+  [[nodiscard]] std::int64_t pick_item(std::int64_t& category, workload::SmallRng& rng) const {
+    if (category == 0) category = rng.uniform_int(1, shape_.categories);
     // Items of a category are spaced `categories` apart (item_category).
     const auto per_cat = static_cast<std::int64_t>(shape_.items / shape_.categories);
-    const std::int64_t k = rng_.uniform_int(0, per_cat - 1);
-    return (category_ - 1) + k * shape_.categories + 1;
+    const std::int64_t k = rng.uniform_int(0, per_cat - 1);
+    return (category - 1) + k * shape_.categories + 1;
   }
 
   Shape shape_;
-  sim::RngStream rng_;
-  int issued_ = 0;
-  std::int64_t region_ = 0;
-  std::int64_t category_ = 0;
-  std::int64_t item_ = 0;
 };
 
 /// Table 5: the fixed bidder scenario — bid on an item, then leave a
-/// comment for its seller.
-class BidderScript final : public workload::SessionScript {
+/// comment for its seller. scratch.w0 packs the user (low half) and the
+/// item (high half), both drawn at step 0; the bid amount is drawn at the
+/// Store Bid step.
+class FsmBidderModel final : public workload::FsmScriptModel {
  public:
-  BidderScript(Shape shape, sim::RngStream rng) : shape_(shape), rng_(std::move(rng)) {
-    user_ = rng_.uniform_int(1, shape_.users);
-    // Bidding concentrates on active auctions: 80% of bids go to a hot
-    // tenth of the items (auction traffic is heavily skewed).
-    const std::int64_t hot = std::max<std::int64_t>(1, shape_.items / 10);
-    item_ = rng_.bernoulli(0.8) ? rng_.uniform_int(1, hot)
-                                : rng_.uniform_int(1, shape_.items);
-    seller_ = shape_.item_seller(item_);
-    amount_ = rng_.uniform(20.0, 200.0);
-  }
+  explicit FsmBidderModel(Shape shape) : shape_(shape) {}
 
-  std::optional<workload::PageRequest> next() override {
-    const std::string nick = "user" + std::to_string(user_);
-    switch (step_++) {
+  std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
+                                            workload::SmallRng& rng) const override {
+    if (step == 0) {
+      const std::int64_t user = rng.uniform_int(1, shape_.users);
+      // Bidding concentrates on active auctions: 80% of bids go to a hot
+      // tenth of the items (auction traffic is heavily skewed).
+      const std::int64_t hot = std::max<std::int64_t>(1, shape_.items / 10);
+      const std::int64_t item =
+          rng.bernoulli(0.8) ? rng.uniform_int(1, hot) : rng.uniform_int(1, shape_.items);
+      scratch.w0 = workload::FsmScratch::pack(user, item);
+    }
+    const std::int64_t user = workload::FsmScratch::lo(scratch.w0);
+    const std::int64_t item = workload::FsmScratch::hi(scratch.w0);
+    const std::int64_t seller = shape_.item_seller(item);
+    const auto nick = [user] { return Value{"user" + std::to_string(user)}; };
+    switch (step) {
       case 0: return make_request("Bidder", "Main", "main", {});
       case 1: return make_request("Bidder", "Put Bid Auth", "putbidauth", {});
-      case 2:
-        return make_request("Bidder", "Put Bid Form", "putbidform",
-                            {Value{nick}, Value{item_}});
+      case 2: return make_request("Bidder", "Put Bid Form", "putbidform", {nick(), Value{item}});
       case 3:
         return make_request("Bidder", "Store Bid", "storebid",
-                            {Value{user_}, Value{item_}, Value{amount_}});
+                            {Value{user}, Value{item}, Value{rng.uniform(20.0, 200.0)}});
       case 4: return make_request("Bidder", "Put Comment Auth", "putcommentauth", {});
       case 5:
         return make_request("Bidder", "Put Comment Form", "putcommentform",
-                            {Value{nick}, Value{seller_}});
+                            {nick(), Value{seller}});
       case 6:
         return make_request("Bidder", "Store Comment", "storecomment",
-                            {Value{user_}, Value{seller_}, Value{item_}});
+                            {Value{user}, Value{seller}, Value{item}});
       default: return std::nullopt;
     }
   }
@@ -465,34 +479,28 @@ class BidderScript final : public workload::SessionScript {
 
  private:
   Shape shape_;
-  sim::RngStream rng_;
-  int step_ = 0;
-  std::int64_t user_ = 0;
-  std::int64_t item_ = 0;
-  std::int64_t seller_ = 0;
-  double amount_ = 0.0;
 };
+
+/// Item popularity skew is modelled by Pet Store's scripts only; RUBiS
+/// keeps its own hot-tenth bidding rule.
+void refuse_zipf(double zipf_s) {
+  if (zipf_s != 0.0) {
+    throw std::invalid_argument("RUBiS: Zipf item popularity (fsm_load.zipf_s) is not modelled");
+  }
+}
 
 }  // namespace
 
-workload::SessionFactory RubisApp::browser_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<BrowserScript>(shape,
-                                           master->fork("s" + std::to_string((*counter)++)));
-  };
+std::shared_ptr<const workload::FsmScriptModel> RubisApp::fsm_browser_model(
+    double zipf_s) const {
+  refuse_zipf(zipf_s);
+  return std::make_shared<FsmBrowserModel>(shape_);
 }
 
-workload::SessionFactory RubisApp::bidder_factory(sim::RngStream rng) const {
-  auto master = std::make_shared<sim::RngStream>(std::move(rng));
-  auto counter = std::make_shared<int>(0);
-  Shape shape = shape_;
-  return [master, counter, shape]() -> std::unique_ptr<workload::SessionScript> {
-    return std::make_unique<BidderScript>(shape,
-                                          master->fork("s" + std::to_string((*counter)++)));
-  };
+std::shared_ptr<const workload::FsmScriptModel> RubisApp::fsm_bidder_model(
+    double zipf_s) const {
+  refuse_zipf(zipf_s);
+  return std::make_shared<FsmBidderModel>(shape_);
 }
 
 AppDriver RubisApp::driver() const {
@@ -502,8 +510,8 @@ AppDriver RubisApp::driver() const {
   d.meta = &meta_;
   d.install_database = [this](db::Database& db) { install_database(db); };
   d.bind_entities = [this](comp::Runtime& rt) { bind_entities(rt); };
-  d.browser_factory = [this](sim::RngStream rng) { return browser_factory(std::move(rng)); };
-  d.writer_factory = [this](sim::RngStream rng) { return bidder_factory(std::move(rng)); };
+  d.fsm_browser_model = [this](double zipf_s) { return fsm_browser_model(zipf_s); };
+  d.fsm_writer_model = [this](double zipf_s) { return fsm_bidder_model(zipf_s); };
   d.table_pages = table_pages();
   d.writer_pattern = "Bidder";
   d.db_colocated = true;  // MySQL on the main app-server workstation (§3.1)

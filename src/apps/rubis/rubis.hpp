@@ -10,8 +10,6 @@
 #include "component/model.hpp"
 #include "component/runtime.hpp"
 #include "db/database.hpp"
-#include "sim/random.hpp"
-#include "workload/session.hpp"
 
 namespace mutsvc::apps::rubis {
 
@@ -74,8 +72,13 @@ class RubisApp {
   void install_database(db::Database& db) const;
   void bind_entities(comp::Runtime& rt) const;
 
-  [[nodiscard]] workload::SessionFactory browser_factory(sim::RngStream rng) const;
-  [[nodiscard]] workload::SessionFactory bidder_factory(sim::RngStream rng) const;
+  /// The two usage patterns (Tables 4 and 5) as FSM script models (DESIGN
+  /// §16). Item popularity follows the paper's scripts; a nonzero
+  /// `zipf_s` is refused with std::invalid_argument.
+  [[nodiscard]] std::shared_ptr<const workload::FsmScriptModel> fsm_browser_model(
+      double zipf_s) const;
+  [[nodiscard]] std::shared_ptr<const workload::FsmScriptModel> fsm_bidder_model(
+      double zipf_s) const;
 
   /// (pattern, page) rows in Table 7's column order.
   [[nodiscard]] static std::vector<std::pair<std::string, std::string>> table_pages();

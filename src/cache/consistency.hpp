@@ -58,10 +58,19 @@ class ConsistencyTracker {
     return it == versions_.end() ? 0 : it->second;
   }
 
-  /// Records that a read observed `seen_version` for `key`.
+  /// Records that a read observed `seen_version` for `key`, judged against
+  /// the current master version.
   void observe_read(const std::string& key, std::uint64_t seen_version) {
+    observe_read_against(seen_version, master_version(key));
+  }
+
+  /// Records a read judged against `master`, the master version when the
+  /// read was served. A read the primary serves is judged there: a write
+  /// that commits while its reply is still on the wire is concurrent with
+  /// the read, and §4.3 only promises that a read arriving *after* a
+  /// commit sees it.
+  void observe_read_against(std::uint64_t seen_version, std::uint64_t master) {
     ++reads_;
-    std::uint64_t master = master_version(key);
     if (seen_version < master) {
       ++stale_reads_;
       lag_sum_ += master - seen_version;

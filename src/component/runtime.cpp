@@ -143,8 +143,8 @@ Runtime::Runtime(sim::Simulator& sim, net::Topology& topo, net::Network& net,
   }
 }
 
-void Runtime::note_read(const std::string& key, std::uint64_t seen_version) {
-  consistency_.observe_read(key, seen_version);
+void Runtime::note_read_against(std::uint64_t seen_version, std::uint64_t served_master) {
+  consistency_.observe_read_against(seen_version, served_master);
   if (simcheck::enabled()) {
     const bool invariant_applies = plan_.update_mode() == UpdateMode::kBlockingPush &&
                                    failed_pushes_ == 0 && degraded_reads_ == 0;
@@ -666,7 +666,9 @@ sim::Task<std::optional<db::Row>> Runtime::read_entity_impl(net::NodeId node,
     }
     if (fetched.has_value()) {
       cache.fill(pk, *fetched, version, sim_.now());
-      note_read(vkey, version);
+      // Served by the primary against master `version`: judged there, not
+      // against the master when the reply lands.
+      note_read_against(version, version);
     }
     co_return fetched;
   }
@@ -714,7 +716,8 @@ sim::Task<db::QueryResult> Runtime::cached_query_impl(net::NodeId node, db::Quer
     std::uint64_t pre_version = 0;
     db::QueryResult res = co_await query_at_main(node, q, trace, &pre_version);
     qc.fill(key, res.rows, pre_version);
-    note_read(key, pre_version);
+    // Served by the primary against master `pre_version`: judged there.
+    note_read_against(pre_version, pre_version);
     co_return res;
   }
   co_return co_await query_at_main(node, std::move(q), trace);

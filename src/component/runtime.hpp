@@ -532,8 +532,13 @@ class Runtime {
   /// Observes a read through the ConsistencyTracker and, under
   /// MUTSVC_SIMCHECK, hard-fails on a stale read whenever the §4.3
   /// zero-staleness invariant applies (blocking push, no failed pushes, no
-  /// degraded reads).
-  void note_read(const std::string& key, std::uint64_t seen_version);
+  /// degraded reads). Judged against the current master version.
+  void note_read(const std::string& key, std::uint64_t seen_version) {
+    note_read_against(seen_version, consistency_.master_version(key));
+  }
+  /// Same, for a read the primary served against master version
+  /// `served_master` (ConsistencyTracker::observe_read_against).
+  void note_read_against(std::uint64_t seen_version, std::uint64_t served_master);
 
   static net::Bytes values_bytes(const std::vector<db::Value>& vals);
   static net::Bytes rows_bytes(const std::vector<db::Row>& rows);

@@ -266,51 +266,19 @@ sim::Task<void> Experiment::metrics_sampler(sim::SimTime end) {
   }
 }
 
-void Experiment::start_coroutine_load(sim::SimTime end) {
-  loadgen_ = std::make_unique<workload::LoadGenerator>(sim_, *this, collector_, spec_.loadgen);
-
-  sim::RngStream root = sim_.rng().fork("workload");
-  const double per_group =
-      spec_.total_request_rate / static_cast<double>(1 + nodes_.remote_clients.size());
-
-  auto start_group = [&](net::NodeId client, stats::ClientGroup group, const std::string& tag) {
-    workload::ClientGroupSpec s;
-    s.client_node = client;
-    s.group = group;
-    s.requests_per_second = per_group;
-    s.browser_fraction = spec_.browser_fraction;
-    s.browser_factory = driver_.browser_factory(root.fork(tag + "-browser"));
-    s.writer_factory = driver_.writer_factory(root.fork(tag + "-writer"));
-    if (spec_.open_loop_arrivals) {
-      loadgen_->start_open_group(s, end, root.fork(tag + "-clients"));
-    } else {
-      loadgen_->start_group(s, end, root.fork(tag + "-clients"));
-    }
-  };
-
-  // Each client group is spawned under its own island's domain, so the
-  // whole client lifecycle (think-time timers included) is owned by the
-  // island where the clients live.
-  {
-    sim::Simulator::DomainScope in_domain(sim_, domain_of(nodes_.local_clients));
-    start_group(nodes_.local_clients, stats::ClientGroup::kLocal, "local");
-  }
-  for (std::size_t i = 0; i < nodes_.remote_clients.size(); ++i) {
-    sim::Simulator::DomainScope in_domain(sim_, domain_of(nodes_.remote_clients[i]));
-    start_group(nodes_.remote_clients[i], stats::ClientGroup::kRemote,
-                "remote-" + std::to_string(i));
-  }
-}
-
-void Experiment::start_fsm_load(sim::SimTime end) {
+void Experiment::start_load(sim::SimTime end) {
   if (!driver_.fsm_browser_model || !driver_.fsm_writer_model) {
-    throw std::invalid_argument("Experiment: fsm_load.enabled but the '" + driver_.name +
+    throw std::invalid_argument("Experiment: the '" + driver_.name +
                                 "' driver provides no FSM script models");
   }
-  if (spec_.open_loop_arrivals) {
+  const bool has_envelope =
+      !spec_.fsm_load.arrivals.empty() ||
+      std::any_of(spec_.fsm_load.group_arrivals.begin(), spec_.fsm_load.group_arrivals.end(),
+                  [](const workload::RateEnvelope& e) { return !e.empty(); });
+  if (spec_.open_loop_arrivals && has_envelope) {
     throw std::invalid_argument(
-        "Experiment: fsm_load is mutually exclusive with open_loop_arrivals — express the "
-        "arrival process as fsm_load.arrivals (a RateEnvelope) instead");
+        "Experiment: open_loop_arrivals is mutually exclusive with the fsm_load arrival "
+        "envelopes — express the arrival process as one or the other");
   }
   const std::shared_ptr<const workload::FsmScriptModel> browser =
       driver_.fsm_browser_model(spec_.fsm_load.zipf_s);
@@ -324,7 +292,6 @@ void Experiment::start_fsm_load(sim::SimTime end) {
     workload::SessionFsmEngine::Config cfg;
     cfg.think_time = spec_.loadgen.think_time;
     cfg.between_sessions = spec_.loadgen.between_sessions;
-    cfg.calendar_quantum = spec_.fsm_load.calendar_quantum;
     // Per-group salt for the sticky session routing keys — pure function of
     // (seed, tag), no RNG draw.
     cfg.session_salt = workload::SmallRng::named_seed(spec_.seed, tag + "-key");
@@ -340,7 +307,10 @@ void Experiment::start_fsm_load(sim::SimTime end) {
         gi < spec_.fsm_load.group_arrivals.size() && !spec_.fsm_load.group_arrivals[gi].empty()
             ? &spec_.fsm_load.group_arrivals[gi]
             : nullptr;
-    if (per_group_env != nullptr) {
+    if (spec_.open_loop_arrivals) {
+      engine->start_open_loop(b, w, per_group, spec_.browser_fraction, end,
+                              workload::SmallRng::named_seed(spec_.seed, tag + "-open"));
+    } else if (per_group_env != nullptr) {
       engine->start_arrivals(b, per_group_env->scaled(spec_.browser_fraction), end, bseed);
       engine->start_arrivals(w, per_group_env->scaled(1.0 - spec_.browser_fraction), end,
                              wseed);
@@ -354,13 +324,13 @@ void Experiment::start_fsm_load(sim::SimTime end) {
           w, spec_.fsm_load.arrivals.scaled(share * (1.0 - spec_.browser_fraction)), end,
           wseed);
     } else {
-      // Closed-loop population, sized like the coroutine driver (and split
-      // with the same total-conserving rule).
+      // §3.3 closed-loop client fleet: round(rate * think_time) recurring
+      // sessions per group unless sessions_per_group overrides the size.
       std::size_t total = spec_.fsm_load.sessions_per_group;
-      workload::LoadGenerator::ClientSplit split;
+      workload::ClientSplit split;
       if (total == 0) {
-        split = workload::LoadGenerator::split_clients(per_group, spec_.browser_fraction,
-                                                       spec_.loadgen.think_time);
+        split = workload::split_clients(per_group, spec_.browser_fraction,
+                                        spec_.loadgen.think_time);
       } else {
         auto browsers = static_cast<std::size_t>(
             std::llround(static_cast<double>(total) * spec_.browser_fraction));
@@ -387,11 +357,7 @@ void Experiment::start_fsm_load(sim::SimTime end) {
 
 void Experiment::run() {
   const sim::SimTime end = sim::SimTime::origin() + spec_.duration;
-  if (spec_.fsm_load.enabled) {
-    start_fsm_load(end);
-  } else {
-    start_coroutine_load(end);
-  }
+  start_load(end);
 
   if (metrics_window_ > sim::Duration::zero()) {
     sim_.spawn(metrics_sampler(end));

@@ -26,7 +26,6 @@
 #include "sim/simulator.hpp"
 #include "stats/collector.hpp"
 #include "workload/arrivals.hpp"
-#include "workload/loadgen.hpp"
 #include "workload/session_fsm.hpp"
 
 namespace mutsvc::core {
@@ -44,14 +43,15 @@ struct ShardConfig {
   sim::Duration coalesce_quantum = sim::Duration::zero();
 };
 
-/// Million-session FSM load engine configuration (DESIGN §16). Opt-in: the
-/// paper ladder keeps the per-session coroutine driver; enabling this
-/// replaces it with 40-byte session records in a flat arena, so one trial
-/// can hold millions of concurrent sessions.
+/// Load-engine configuration (DESIGN §16). Every experiment drives its
+/// load through workload::SessionFsmEngine; by default each client group
+/// runs the §3.3 closed-loop fleet.
 struct FsmLoadSpec {
+  /// Accepted and ignored: the engine is the only load driver. Kept only
+  /// because the repository benchmark (perfbench/) still sets it.
   bool enabled = false;
   /// Closed-loop population per client group. 0 derives the paper sizing
-  /// round(rate_per_group * think_time), like the coroutine driver.
+  /// round(rate_per_group * think_time) (workload::split_clients).
   std::size_t sessions_per_group = 0;
   /// When non-empty, sessions *arrive* instead: the envelope is the
   /// combined session-arrival rate (nonhomogeneous Poisson), split evenly
@@ -69,8 +69,6 @@ struct FsmLoadSpec {
   /// uniform catalog use). Positive values concentrate traffic on the few
   /// hottest items — and therefore on one hot shard of the sharded tier.
   double zipf_s = 0.0;
-  /// Calendar bucket width of the engine's due-time calendar.
-  sim::Duration calendar_quantum = sim::ms(100);
 };
 
 /// Run parameters (§3.3): one hour of combined 30 req/s load from an 80/20
@@ -109,14 +107,15 @@ struct ExperimentSpec {
   /// WAN rate limits, backpressure. Off by default — a disabled config is
   /// bit-identical to the pre-flow-control harness (golden-enforced).
   net::FlowControlConfig flow;
-  /// Flash-crowd arrival process: open-loop Poisson arrivals at the spec
-  /// rate instead of the paper's closed-loop client fleet. The offered
-  /// load then stays up when the service saturates — the regime overload
-  /// protection exists for. Default keeps §3.3's closed loop.
+  /// Flash-crowd arrival process: open-loop Poisson page arrivals at the
+  /// spec rate instead of the paper's closed-loop client fleet
+  /// (SessionFsmEngine::start_open_loop). The offered load then stays up
+  /// when the service saturates — the regime overload protection exists
+  /// for. Default keeps §3.3's closed loop. Refused together with an
+  /// fsm_load arrival envelope.
   bool open_loop_arrivals = false;
 
-  /// Million-session FSM load engine (DESIGN §16); mutually exclusive with
-  /// open_loop_arrivals (the FSM engine has its own arrival layer).
+  /// Load-engine sizing, session-arrival envelopes and item skew.
   FsmLoadSpec fsm_load;
 
   /// Runtime placement: versioned component bindings, live migration, and
@@ -220,12 +219,12 @@ class Experiment final : public workload::RequestExecutor {
   /// exactly at any instant; the shard property battery asserts it across
   /// the config ladder.
   [[nodiscard]] std::uint64_t requests_issued() const {
-    std::uint64_t n = loadgen_ ? loadgen_->requests_issued() : 0;
+    std::uint64_t n = 0;
     for (const auto& e : fsm_engines_) n += e->requests_issued();
     return n;
   }
   [[nodiscard]] std::uint64_t requests_completed() const {
-    std::uint64_t n = loadgen_ ? loadgen_->requests_completed() : 0;
+    std::uint64_t n = 0;
     for (const auto& e : fsm_engines_) n += e->requests_completed();
     return n;
   }
@@ -235,12 +234,12 @@ class Experiment final : public workload::RequestExecutor {
     return requests_issued() - requests_completed();
   }
   [[nodiscard]] std::uint64_t sessions_started() const {
-    std::uint64_t n = loadgen_ ? loadgen_->sessions_started() : 0;
+    std::uint64_t n = 0;
     for (const auto& e : fsm_engines_) n += e->sessions_started();
     return n;
   }
 
-  // --- FSM load engine observability (empty unless fsm_load.enabled) -------
+  // --- load engine observability ------------------------------------------
   [[nodiscard]] std::size_t fsm_live_sessions() const {
     std::size_t n = 0;
     for (const auto& e : fsm_engines_) n += e->live_sessions();
@@ -272,10 +271,8 @@ class Experiment final : public workload::RequestExecutor {
   /// schedules an event, so it is called before the Runtime is built.
   void setup_domains(const comp::DeploymentPlan& plan);
 
-  /// Builds the per-group coroutine load (the paper's driver) for run().
-  void start_coroutine_load(sim::SimTime end);
-  /// Builds one SessionFsmEngine per client group (fsm_load.enabled).
-  void start_fsm_load(sim::SimTime end);
+  /// Builds one SessionFsmEngine per client group for run().
+  void start_load(sim::SimTime end);
 
   [[nodiscard]] sim::FifoResource& thread_pool(net::NodeId server);
 
@@ -306,9 +303,7 @@ class Experiment final : public workload::RequestExecutor {
   std::unique_ptr<comp::PlacementController> controller_;
   std::unique_ptr<net::FaultInjector> faults_;
   stats::ResponseTimeCollector collector_;
-  std::unique_ptr<workload::LoadGenerator> loadgen_;
-  /// One FSM engine per client group (fsm_load.enabled), each living in its
-  /// group's lookahead domain.
+  /// One load engine per client group, each living in its group's domain.
   std::vector<std::unique_ptr<workload::SessionFsmEngine>> fsm_engines_;
   std::map<net::NodeId, std::unique_ptr<sim::FifoResource>> thread_pools_;
   /// One admission bucket per entry node (lazily created; empty unless the

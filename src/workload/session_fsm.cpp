@@ -6,12 +6,20 @@
 
 namespace mutsvc::workload {
 
+std::vector<PageRequest> replay_session(const FsmScriptModel& model, std::uint64_t seed) {
+  SmallRng rng(seed);
+  FsmScratch scratch;
+  std::vector<PageRequest> pages;
+  while (std::optional<PageRequest> req =
+             model.next(static_cast<std::uint32_t>(pages.size()), scratch, rng)) {
+    pages.push_back(std::move(*req));
+  }
+  return pages;
+}
+
 SessionFsmEngine::SessionFsmEngine(sim::Simulator& sim, RequestExecutor& executor,
                                    stats::ResponseTimeCollector& collector, Config cfg)
     : sim_(sim), executor_(executor), collector_(collector), cfg_(cfg) {
-  if (cfg_.calendar_quantum <= sim::Duration::zero()) {
-    throw std::invalid_argument("SessionFsmEngine: calendar_quantum must be positive");
-  }
   if (cfg_.think_time <= sim::Duration::zero()) {
     throw std::invalid_argument("SessionFsmEngine: think_time must be positive");
   }
@@ -88,6 +96,69 @@ void SessionFsmEngine::start_arrivals(std::uint8_t kind, RateEnvelope envelope,
   sim_.spawn(arrival_pump(kind, std::move(envelope), seed));
 }
 
+void SessionFsmEngine::start_open_loop(std::uint8_t browser, std::uint8_t writer,
+                                       double pages_per_second, double browser_fraction,
+                                       sim::SimTime end_at, std::uint64_t seed) {
+  if (browser >= kinds_.size() || writer >= kinds_.size()) {
+    throw std::invalid_argument("SessionFsmEngine: unknown kind");
+  }
+  set_end(end_at);
+  if (pages_per_second <= 0.0) return;
+  sim_.spawn(open_loop_pump({browser, writer}, pages_per_second, browser_fraction, seed));
+}
+
+sim::Task<void> SessionFsmEngine::open_loop_pump(std::array<std::uint8_t, 2> kinds,
+                                                 double pages_per_second,
+                                                 double browser_fraction, std::uint64_t seed) {
+  // One rotating session per kind (0 = browser, 1 = writer). Two sessions
+  // per group live in the pump's frame rather than the arena: they are
+  // never idle in the calendar, each arrival advances one of them in place.
+  struct Rotating {
+    SmallRng rng{0};
+    FsmScratch scratch;
+    std::uint32_t step = 0;
+    std::uint64_t key = 0;
+    bool sterile = false;
+  };
+  std::array<Rotating, 2> sessions;
+  SmallRng rng(SmallRng::stream_seed(seed, 0));
+  std::uint64_t rotations = 0;
+  const double mean_gap_s = 1.0 / pages_per_second;
+  for (;;) {
+    co_await sim_.wait(sim::Duration::seconds(rng.exponential(mean_gap_s)));
+    if (sim_.now() >= end_at_) co_return;
+    const std::size_t k = rng.bernoulli(browser_fraction) ? 0 : 1;
+    Rotating& s = sessions[k];
+    if (s.sterile) continue;
+    const FsmScriptModel& model = *kinds_[kinds[k]].model;
+    std::optional<PageRequest> req;
+    if (s.step > 0) req = model.next(s.step, s.scratch, s.rng);
+    if (!req) {
+      // The script ended (or none has started): rotate into a fresh
+      // session on its own stream. Streams past index 0 never collide
+      // with the pump's own.
+      const std::uint64_t session_seed = SmallRng::stream_seed(seed, ++rotations);
+      s = Rotating{};
+      s.rng = SmallRng(session_seed);
+      req = model.next(0, s.scratch, s.rng);
+      if (!req) {
+        // Empty from step 0: mark the kind sterile once instead of
+        // re-creating (and counting) a session on every later arrival.
+        s.sterile = true;
+        if (sessions[0].sterile && sessions[1].sterile) co_return;
+        continue;
+      }
+      s.key = SmallRng::mix(session_seed ^ cfg_.session_salt);
+      ++sessions_;
+    }
+    ++s.step;
+    req->session_key = s.key;
+    ++requests_;  // counted at issue time
+    // Open loop: fire and move on — do not await the response.
+    sim_.spawn(issue(kFireAndForget, kinds[k], std::move(*req), sim_.now()));
+  }
+}
+
 sim::Task<void> SessionFsmEngine::arrival_pump(std::uint8_t kind, RateEnvelope envelope,
                                                std::uint64_t seed) {
   const PoissonProcess process(std::move(envelope));
@@ -111,7 +182,7 @@ sim::Task<void> SessionFsmEngine::arrival_pump(std::uint8_t kind, RateEnvelope e
 
 void SessionFsmEngine::enqueue(std::uint32_t id, sim::SimTime due) {
   arena_[id].next_fire = due;
-  const std::int64_t quantum = cfg_.calendar_quantum.count_micros();
+  const std::int64_t quantum = kCalendarQuantum.count_micros();
   const std::int64_t bucket = due.count_micros() / quantum;
   const sim::SimTime bucket_start = sim::SimTime::from_micros(bucket * quantum);
   if (bucket_start <= sim_.now()) {
@@ -168,7 +239,7 @@ void SessionFsmEngine::fire(std::uint32_t id) {
   req->session_key = SmallRng::mix(static_cast<std::uint64_t>(id) ^ cfg_.session_salt);
   ++requests_;  // counted at issue time
   if (rec.step == 1) ++sessions_;
-  sim_.spawn(issue(id, std::move(*req), sim_.now()));
+  sim_.spawn(issue(id, rec.kind, std::move(*req), sim_.now()));
 }
 
 void SessionFsmEngine::finish_script(std::uint32_t id) {
@@ -177,7 +248,7 @@ void SessionFsmEngine::finish_script(std::uint32_t id) {
     // One-shot sessions leave at script end; a script empty from step 0
     // (rec.step == 0) is sterile — retiring it keeps a zero-length
     // between_sessions from looping forever and keeps it out of
-    // sessions_started, like the open-loop LoadGenerator.
+    // sessions_started.
     release_session(id);
     return;
   }
@@ -192,15 +263,16 @@ void SessionFsmEngine::finish_script(std::uint32_t id) {
   enqueue(id, next);
 }
 
-sim::Task<void> SessionFsmEngine::issue(std::uint32_t id, PageRequest req,
+sim::Task<void> SessionFsmEngine::issue(std::uint32_t id, std::uint8_t kind, PageRequest req,
                                         sim::SimTime issued_at) {
-  // Copy kind fields out before the await: the arena may grow while this
-  // request is in flight, so `rec` references must not be held across it.
-  const Kind kind = kinds_[arena_[id].kind];
-  const RequestOutcome out = co_await executor_.execute(kind.client_node, req);
+  // No arena references are held across the await: the arena may grow
+  // while this request is in flight.
+  const stats::ClientGroup group = kinds_[kind].group;
+  const RequestOutcome out = co_await executor_.execute(kinds_[kind].client_node, req);
   const sim::Duration response_time = sim_.now() - issued_at;
-  record_page_outcome(collector_, sim_.now(), req, kind.group, out, response_time);
+  record_page_outcome(collector_, sim_.now(), req, group, out, response_time);
   ++completed_;
+  if (id == kFireAndForget) co_return;
   // §3.3 soft delay: the next request fires think_time after this one was
   // issued, response time notwithstanding (clamped to now for slow pages).
   sim::SimTime next = issued_at + cfg_.think_time;

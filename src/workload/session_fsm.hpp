@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,7 +12,6 @@
 #include "sim/task.hpp"
 #include "stats/collector.hpp"
 #include "workload/arrivals.hpp"
-#include "workload/loadgen.hpp"
 #include "workload/session.hpp"
 
 namespace mutsvc::workload {
@@ -22,6 +22,18 @@ namespace mutsvc::workload {
 struct FsmScratch {
   std::uint64_t w0 = 0;
   std::uint64_t w1 = 0;
+
+  /// Two ids in [0, 2^32) sharing one word (`lo` in the low half), for
+  /// scripts that carry three or four values.
+  [[nodiscard]] static constexpr std::uint64_t pack(std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
+  }
+  [[nodiscard]] static constexpr std::int64_t lo(std::uint64_t word) {
+    return static_cast<std::int64_t>(word & 0xffffffffU);
+  }
+  [[nodiscard]] static constexpr std::int64_t hi(std::uint64_t word) {
+    return static_cast<std::int64_t>(word >> 32);
+  }
 };
 
 /// A session script as an explicit FSM (DESIGN §16): one immutable, shared
@@ -40,30 +52,38 @@ class FsmScriptModel {
   [[nodiscard]] virtual const char* pattern() const = 0;
 };
 
-/// Million-session load engine (DESIGN §16).
+/// Plays one whole session of `model` from a fresh record seeded with
+/// `seed`: the page sequence the engine would issue, without any timing.
+/// For script property checks.
+[[nodiscard]] std::vector<PageRequest> replay_session(const FsmScriptModel& model,
+                                                      std::uint64_t seed);
+
+/// The load driver (§3.3, DESIGN §16).
 ///
-/// Instead of one live coroutine per simulated client, every session is a
-/// 40-byte POD record in a flat arena: {rng word, two scratch words,
-/// next-fire time, script cursor, kind, mode}. Idle sessions cost no kernel
-/// events at all — they sit in a calendar of due-time buckets
-/// (`calendar_quantum` wide, 4 bytes per session); each bucket is armed
-/// with a single tick event that fans its sessions out to precise kernel
-/// timers, so the event heap only ever holds ~one bucket's worth of the
-/// fleet. A transient coroutine exists only while a request is in flight.
+/// Every session is a 40-byte POD record in a flat arena: {rng word, two
+/// scratch words, next-fire time, script cursor, kind, mode}. Idle sessions
+/// cost no kernel events at all — they sit in a calendar of due-time
+/// buckets (kCalendarQuantum wide, 4 bytes per session); each bucket is
+/// armed with a single tick event that fans its sessions out to precise
+/// kernel timers, so the event heap only ever holds ~one bucket's worth of
+/// the fleet. A transient coroutine exists only while a request is in
+/// flight.
 ///
-/// Timing semantics match the coroutine LoadGenerator exactly: §3.3 soft
-/// delay (next request fires think_time after the previous one was
-/// *issued*), between_sessions pause between recurring sessions, uniform
-/// stagger across one think interval at start. Requests are counted at
-/// issue time and no request is issued at or after end_at; completions
-/// landing after end_at record whenever the simulation runs them (the
-/// documented end-of-run rule shared with LoadGenerator).
+/// Timing contract: §3.3 soft delay (next request fires think_time after
+/// the previous one was *issued*, independent of response time),
+/// between_sessions pause between recurring sessions, uniform stagger
+/// across one think interval at start.
+///
+/// End-of-run rule, for every load source: requests are counted when they
+/// are *issued*; no request is issued at or after end_at, and a response
+/// landing after end_at is recorded whenever the simulation runs it. At
+/// any instant `requests_issued() == requests_completed() +
+/// requests_in_flight()`.
 ///
 /// Determinism: all engine state is touched only from the engine's own
 /// events, so an engine constructed under a DomainScope schedules every
-/// event in that lookahead domain, and bucket drains sort by (due time,
-/// session id). Per-session rng streams are pure functions of (seed,
-/// stream index).
+/// event in that domain, and bucket drains sort by (due time, session id).
+/// Per-session rng streams are pure functions of (seed, stream index).
 class SessionFsmEngine {
  public:
   enum class Mode : std::uint8_t {
@@ -76,15 +96,15 @@ class SessionFsmEngine {
     sim::Duration think_time = sim::sec(7);
     /// Pause between consecutive sessions of one recurring client.
     sim::Duration between_sessions = sim::sec(2);
-    /// Calendar bucket width. Smaller buckets mean more tick events but a
-    /// smaller peak event heap; the default keeps the heap near
-    /// think_time/quantum-th of the fleet.
-    sim::Duration calendar_quantum = sim::ms(100);
     /// Salt mixed into each session's sticky routing key
     /// (mix(id ^ salt), no RNG draw — the record stays 40 bytes and the
     /// request trajectory is untouched).
     std::uint64_t session_salt = 0;
   };
+
+  /// Calendar bucket width: the event heap holds about
+  /// quantum/think_time of the idle fleet.
+  static constexpr sim::Duration kCalendarQuantum = sim::ms(100);
 
   SessionFsmEngine(sim::Simulator& sim, RequestExecutor& executor,
                    stats::ResponseTimeCollector& collector, Config cfg);
@@ -109,11 +129,22 @@ class SessionFsmEngine {
   void start_arrivals(std::uint8_t kind, RateEnvelope envelope, sim::SimTime end_at,
                       std::uint64_t seed);
 
+  /// Open-loop page arrivals (the flash-crowd generator): Poisson arrivals
+  /// at `pages_per_second`; each arrival picks `browser` with probability
+  /// `browser_fraction` (else `writer`) and issues the next page of that
+  /// kind's one rotating session — WITHOUT waiting for the previous
+  /// response. A script that ends rotates into a fresh session with a fresh
+  /// sticky key. A closed loop self-throttles when the service saturates,
+  /// hiding the overload; an open loop keeps offering load, which is what a
+  /// flash crowd does. A kind whose fresh session is empty from step 0 is
+  /// sterile: its later arrivals are skipped and never counted as sessions.
+  void start_open_loop(std::uint8_t browser, std::uint8_t writer, double pages_per_second,
+                       double browser_fraction, sim::SimTime end_at, std::uint64_t seed);
+
   // --- accounting ---------------------------------------------------------
   // issued == completed + in_flight at any instant; a session is counted in
   // sessions_started once its first request is issued (a script that is
-  // empty from step 0 is never counted — the rule the open-loop
-  // LoadGenerator fix shares).
+  // empty from step 0 is never counted).
   [[nodiscard]] std::uint64_t requests_issued() const { return requests_; }
   [[nodiscard]] std::uint64_t requests_completed() const { return completed_; }
   [[nodiscard]] std::uint64_t requests_in_flight() const {
@@ -164,9 +195,17 @@ class SessionFsmEngine {
   /// the in-flight coroutine, or handles script end.
   void fire(std::uint32_t id);
   void finish_script(std::uint32_t id);
-  [[nodiscard]] sim::Task<void> issue(std::uint32_t id, PageRequest req, sim::SimTime issued_at);
+  /// Issues `req` for session `id` and files its next fire on completion;
+  /// kFireAndForget pages (the open-loop pump's) only record.
+  [[nodiscard]] sim::Task<void> issue(std::uint32_t id, std::uint8_t kind, PageRequest req,
+                                      sim::SimTime issued_at);
   [[nodiscard]] sim::Task<void> arrival_pump(std::uint8_t kind, RateEnvelope envelope,
                                              std::uint64_t seed);
+  [[nodiscard]] sim::Task<void> open_loop_pump(std::array<std::uint8_t, 2> kinds,
+                                               double pages_per_second, double browser_fraction,
+                                               std::uint64_t seed);
+
+  static constexpr std::uint32_t kFireAndForget = ~std::uint32_t{0};
 
   sim::Simulator& sim_;
   RequestExecutor& executor_;

@@ -13,6 +13,9 @@ namespace mutsvc::apps::gridviz {
 namespace {
 
 using comp::ComponentKind;
+using workload::PageRequest;
+using workload::replay_session;
+using workload::SmallRng;
 
 struct Fixture {
   GridVizApp app;
@@ -79,22 +82,21 @@ TEST(GridVizAppTest, RecentReadingsAggregateBoundedWindow) {
 TEST(GridVizSessionTest, AnalystScrubsForwardWithinOneDataset) {
   GridVizApp app;
   const Shape& s = app.shape();
-  auto factory = app.analyst_factory(sim::RngStream{3});
+  const auto model = app.fsm_analyst_model(0.0);
   for (int i = 0; i < 20; ++i) {
-    auto session = factory();
     std::int64_t dataset = 0;
     int count = 0;
-    while (auto req = session->next()) {
+    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(3, i))) {
       ++count;
-      EXPECT_EQ(req->pattern, "Analyst");
-      if (req->page == "Dataset") dataset = db::as_int(req->args.at(0));
-      if (req->page == "Frame" && dataset != 0) {
-        const std::int64_t frame = db::as_int(req->args.at(0));
+      EXPECT_EQ(req.pattern, "Analyst");
+      if (req.page == "Dataset") dataset = db::as_int(req.args.at(0));
+      if (req.page == "Frame" && dataset != 0) {
+        const std::int64_t frame = db::as_int(req.args.at(0));
         EXPECT_EQ(frame / 1000, dataset);  // frame belongs to the open run
         EXPECT_LE(frame % 1000, static_cast<std::int64_t>(s.frames_per_dataset));
       }
-      if (req->page == "Frame") {
-        EXPECT_EQ(req->response_bytes, 48 * 1024);  // tile payload
+      if (req.page == "Frame") {
+        EXPECT_EQ(req.response_bytes, 48 * 1024);  // tile payload
       }
     }
     EXPECT_EQ(count, GridVizApp::kAnalystSessionLength);
@@ -103,15 +105,14 @@ TEST(GridVizSessionTest, AnalystScrubsForwardWithinOneDataset) {
 
 TEST(GridVizSessionTest, OperatorSteersTheProbesDataset) {
   GridVizApp app;
-  auto factory = app.operator_factory(sim::RngStream{5});
-  auto session = factory();
+  const auto model = app.fsm_operator_model(0.0);
   std::vector<std::string> pages;
   std::int64_t steered_dataset = 0;
   std::int64_t probe = 0;
-  while (auto req = session->next()) {
-    pages.push_back(req->page);
-    if (req->page == "Steer") steered_dataset = db::as_int(req->args.at(0));
-    if (req->page == "Append") probe = db::as_int(req->args.at(0));
+  for (const PageRequest& req : replay_session(*model, 5)) {
+    pages.push_back(req.page);
+    if (req.page == "Steer") steered_dataset = db::as_int(req.args.at(0));
+    if (req.page == "Append") probe = db::as_int(req.args.at(0));
   }
   EXPECT_EQ(pages, (std::vector<std::string>{"Auth", "Steer", "Append", "Dashboard", "Append",
                                              "Dashboard"}));
@@ -150,7 +151,9 @@ TEST(GridVizExperimentTest, LadderShapesHold) {
             centralized->network().wan_bytes_sent());
 
   // Zero staleness would hold under blocking push; async trades it away but
-  // replicas converge (quiescent at end of run).
+  // replicas converge (quiescent once the propagation tail of the writes
+  // issued just before the load end has landed).
+  (void)final_cfg->simulator().run_until(final_cfg->simulator().now() + sim::sec(60));
   EXPECT_TRUE(final_cfg->runtime().updates_quiescent());
 }
 

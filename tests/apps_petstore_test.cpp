@@ -11,6 +11,9 @@ namespace mutsvc::apps::petstore {
 namespace {
 
 using comp::ComponentKind;
+using workload::PageRequest;
+using workload::replay_session;
+using workload::SmallRng;
 
 struct Fixture {
   PetStoreApp app;
@@ -112,17 +115,16 @@ TEST(PetStoreAppTest, SearchKeywordsMatchProductNames) {
 
 TEST(PetStoreSessionTest, BrowserSessionLengthAndStart) {
   PetStoreApp app;
-  auto factory = app.browser_factory(sim::RngStream{7});
-  auto session = factory();
+  const auto model = app.fsm_browser_model(0.0);
   int count = 0;
   bool first = true;
-  while (auto req = session->next()) {
+  for (const PageRequest& req : replay_session(*model, 7)) {
     if (first) {
-      EXPECT_EQ(req->page, "Main");  // "each session ... starting with the Main page"
+      EXPECT_EQ(req.page, "Main");  // "each session ... starting with the Main page"
       first = false;
     }
-    EXPECT_EQ(req->pattern, "Browser");
-    EXPECT_EQ(req->component, "PetStoreWeb");
+    EXPECT_EQ(req.pattern, "Browser");
+    EXPECT_EQ(req.component, "PetStoreWeb");
     ++count;
   }
   EXPECT_EQ(count, PetStoreApp::kBrowserSessionLength);
@@ -130,13 +132,12 @@ TEST(PetStoreSessionTest, BrowserSessionLengthAndStart) {
 
 TEST(PetStoreSessionTest, BrowserMixApproximatesTable2) {
   PetStoreApp app;
-  auto factory = app.browser_factory(sim::RngStream{11});
+  const auto model = app.fsm_browser_model(0.0);
   std::map<std::string, int> counts;
   int total = 0;
   for (int s = 0; s < 800; ++s) {
-    auto session = factory();
-    while (auto req = session->next()) {
-      ++counts[req->page];
+    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(11, s))) {
+      ++counts[req.page];
       ++total;
     }
   }
@@ -157,15 +158,14 @@ TEST(PetStoreSessionTest, ItemRequestsBelongToPreviouslyBrowsedProduct) {
   // requested product".
   PetStoreApp app;
   const Shape& s = app.shape();
-  auto factory = app.browser_factory(sim::RngStream{13});
+  const auto model = app.fsm_browser_model(0.0);
   for (int si = 0; si < 50; ++si) {
-    auto session = factory();
     std::int64_t last_product = 0;
-    while (auto req = session->next()) {
-      if (req->page == "Product") {
-        last_product = db::as_int(req->args.at(0));
-      } else if (req->page == "Item") {
-        std::int64_t item = db::as_int(req->args.at(0));
+    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(13, si))) {
+      if (req.page == "Product") {
+        last_product = db::as_int(req.args.at(0));
+      } else if (req.page == "Item") {
+        std::int64_t item = db::as_int(req.args.at(0));
         if (last_product != 0) {
           // item ids encode their product: item = product*1000 + k + 1.
           EXPECT_EQ(item / 1000, last_product);
@@ -183,12 +183,11 @@ TEST(PetStoreSessionTest, ItemRequestsBelongToPreviouslyBrowsedProduct) {
 
 TEST(PetStoreSessionTest, BuyerSessionIsTheFixedTable3Scenario) {
   PetStoreApp app;
-  auto factory = app.buyer_factory(sim::RngStream{3});
-  auto session = factory();
+  const auto model = app.fsm_buyer_model(0.0);
   std::vector<std::string> pages;
-  while (auto req = session->next()) {
-    EXPECT_EQ(req->pattern, "Buyer");
-    pages.push_back(req->page);
+  for (const PageRequest& req : replay_session(*model, 3)) {
+    EXPECT_EQ(req.pattern, "Buyer");
+    pages.push_back(req.page);
   }
   EXPECT_EQ(pages, (std::vector<std::string>{"Main", "Signin", "Verify Signin",
                                              "Shopping Cart", "Checkout", "Place Order",
@@ -197,34 +196,30 @@ TEST(PetStoreSessionTest, BuyerSessionIsTheFixedTable3Scenario) {
 
 TEST(PetStoreSessionTest, BuyerUsesConsistentAccountAndItem) {
   PetStoreApp app;
-  auto factory = app.buyer_factory(sim::RngStream{5});
-  auto session = factory();
+  const auto model = app.fsm_buyer_model(0.0);
   std::int64_t verify_account = -1;
   std::int64_t cart_item = -1;
-  while (auto req = session->next()) {
-    if (req->page == "Verify Signin") verify_account = db::as_int(req->args.at(0));
-    if (req->page == "Shopping Cart") cart_item = db::as_int(req->args.at(0));
-    if (req->page == "Commit Order") {
-      EXPECT_EQ(db::as_int(req->args.at(0)), verify_account);
-      EXPECT_EQ(db::as_int(req->args.at(1)), cart_item);
+  for (const PageRequest& req : replay_session(*model, 5)) {
+    if (req.page == "Verify Signin") verify_account = db::as_int(req.args.at(0));
+    if (req.page == "Shopping Cart") cart_item = db::as_int(req.args.at(0));
+    if (req.page == "Commit Order") {
+      EXPECT_EQ(db::as_int(req.args.at(0)), verify_account);
+      EXPECT_EQ(db::as_int(req.args.at(1)), cart_item);
     }
   }
 }
 
 TEST(PetStoreSessionTest, FactorySessionsAreIndependentButDeterministic) {
   PetStoreApp app;
-  auto f1 = app.browser_factory(sim::RngStream{21});
-  auto f2 = app.browser_factory(sim::RngStream{21});
+  const auto m1 = app.fsm_browser_model(0.0);
+  const auto m2 = app.fsm_browser_model(0.0);
   for (int s = 0; s < 3; ++s) {
-    auto a = f1();
-    auto b = f2();
-    while (true) {
-      auto ra = a->next();
-      auto rb = b->next();
-      ASSERT_EQ(ra.has_value(), rb.has_value());
-      if (!ra) break;
-      EXPECT_EQ(ra->page, rb->page);
-      ASSERT_EQ(ra->args.size(), rb->args.size());
+    const std::vector<PageRequest> a = replay_session(*m1, SmallRng::stream_seed(21, s));
+    const std::vector<PageRequest> b = replay_session(*m2, SmallRng::stream_seed(21, s));
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].page, b[i].page);
+      ASSERT_EQ(a[i].args.size(), b[i].args.size());
     }
   }
 }
@@ -249,7 +244,7 @@ TEST(PetStoreAppTest, DriverIsComplete) {
   EXPECT_FALSE(d.db_colocated);
   EXPECT_NE(d.app, nullptr);
   EXPECT_NE(d.meta, nullptr);
-  EXPECT_TRUE(d.install_database && d.bind_entities && d.browser_factory && d.writer_factory);
+  EXPECT_TRUE(d.install_database && d.bind_entities && d.fsm_browser_model && d.fsm_writer_model);
 }
 
 }  // namespace

@@ -11,6 +11,9 @@ namespace mutsvc::apps::rubis {
 namespace {
 
 using comp::ComponentKind;
+using workload::PageRequest;
+using workload::replay_session;
+using workload::SmallRng;
 
 struct Fixture {
   RubisApp app;
@@ -111,23 +114,22 @@ TEST(RubisAppTest, AuthFinderMatchesNickname) {
 
 TEST(RubisSessionTest, BrowserSessionLengthAndLogicalOrdering) {
   RubisApp app;
-  auto factory = app.browser_factory(sim::RngStream{9});
-  auto session = factory();
+  const auto model = app.fsm_browser_model(0.0);
   int count = 0;
   bool first = true;
   std::int64_t last_category = 0;
   const Shape& s = app.shape();
-  while (auto req = session->next()) {
+  for (const PageRequest& req : replay_session(*model, 9)) {
     if (first) {
-      EXPECT_EQ(req->page, "Main");
+      EXPECT_EQ(req.page, "Main");
       first = false;
     }
-    if (req->page == "Category" || req->page == "Category & Region") {
-      last_category = db::as_int(req->args.at(0));
+    if (req.page == "Category" || req.page == "Category & Region") {
+      last_category = db::as_int(req.args.at(0));
     }
-    if (req->page == "Item" && last_category != 0) {
+    if (req.page == "Item" && last_category != 0) {
       // The picked item belongs to the last browsed category.
-      EXPECT_EQ(s.item_category(db::as_int(req->args.at(0))), last_category);
+      EXPECT_EQ(s.item_category(db::as_int(req.args.at(0))), last_category);
     }
     ++count;
   }
@@ -136,13 +138,12 @@ TEST(RubisSessionTest, BrowserSessionLengthAndLogicalOrdering) {
 
 TEST(RubisSessionTest, BrowserMixApproximatesTable4) {
   RubisApp app;
-  auto factory = app.browser_factory(sim::RngStream{17});
+  const auto model = app.fsm_browser_model(0.0);
   std::map<std::string, int> counts;
   int total = 0;
   for (int s = 0; s < 400; ++s) {
-    auto session = factory();
-    while (auto req = session->next()) {
-      ++counts[req->page];
+    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(17, s))) {
+      ++counts[req.page];
       ++total;
     }
   }
@@ -158,12 +159,11 @@ TEST(RubisSessionTest, BrowserMixApproximatesTable4) {
 
 TEST(RubisSessionTest, BidderSessionIsTheFixedTable5Scenario) {
   RubisApp app;
-  auto factory = app.bidder_factory(sim::RngStream{23});
-  auto session = factory();
+  const auto model = app.fsm_bidder_model(0.0);
   std::vector<std::string> pages;
-  while (auto req = session->next()) {
-    EXPECT_EQ(req->pattern, "Bidder");
-    pages.push_back(req->page);
+  for (const PageRequest& req : replay_session(*model, 23)) {
+    EXPECT_EQ(req.pattern, "Bidder");
+    pages.push_back(req.page);
   }
   EXPECT_EQ(pages, (std::vector<std::string>{"Main", "Put Bid Auth", "Put Bid Form",
                                              "Store Bid", "Put Comment Auth",
@@ -173,15 +173,14 @@ TEST(RubisSessionTest, BidderSessionIsTheFixedTable5Scenario) {
 TEST(RubisSessionTest, BidderCommentsTheSellerOfTheBidItem) {
   RubisApp app;
   const Shape& s = app.shape();
-  auto factory = app.bidder_factory(sim::RngStream{29});
+  const auto model = app.fsm_bidder_model(0.0);
   for (int i = 0; i < 20; ++i) {
-    auto session = factory();
     std::int64_t item = 0;
-    while (auto req = session->next()) {
-      if (req->page == "Store Bid") item = db::as_int(req->args.at(1));
-      if (req->page == "Store Comment") {
-        EXPECT_EQ(db::as_int(req->args.at(1)), s.item_seller(item));
-        EXPECT_EQ(db::as_int(req->args.at(2)), item);
+    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(29, i))) {
+      if (req.page == "Store Bid") item = db::as_int(req.args.at(1));
+      if (req.page == "Store Comment") {
+        EXPECT_EQ(db::as_int(req.args.at(1)), s.item_seller(item));
+        EXPECT_EQ(db::as_int(req.args.at(2)), item);
       }
     }
   }
@@ -190,15 +189,14 @@ TEST(RubisSessionTest, BidderCommentsTheSellerOfTheBidItem) {
 TEST(RubisSessionTest, BiddingSkewsToHotItems) {
   RubisApp app;
   const Shape& s = app.shape();
-  auto factory = app.bidder_factory(sim::RngStream{31});
+  const auto model = app.fsm_bidder_model(0.0);
   int hot = 0;
   int total = 0;
   for (int i = 0; i < 500; ++i) {
-    auto session = factory();
-    while (auto req = session->next()) {
-      if (req->page == "Store Bid") {
+    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(31, i))) {
+      if (req.page == "Store Bid") {
         ++total;
-        if (db::as_int(req->args.at(1)) <= s.items / 10) ++hot;
+        if (db::as_int(req.args.at(1)) <= s.items / 10) ++hot;
       }
     }
   }
@@ -217,7 +215,7 @@ TEST(RubisAppTest, DriverIsComplete) {
   AppDriver d = app.driver();
   EXPECT_EQ(d.writer_pattern, "Bidder");
   EXPECT_TRUE(d.db_colocated);  // §3.1: MySQL on the main app server
-  EXPECT_TRUE(d.install_database && d.bind_entities && d.browser_factory && d.writer_factory);
+  EXPECT_TRUE(d.install_database && d.bind_entities && d.fsm_browser_model && d.fsm_writer_model);
 }
 
 }  // namespace

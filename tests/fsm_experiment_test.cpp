@@ -1,7 +1,8 @@
-// The FSM load engine wired through the full experiment harness (ISSUE 9):
+// The FSM load engine wired through the full experiment harness:
 // conservation under the end-of-run rule, refusal for drivers without FSM
-// models, bit-identical results under the windowed parallel executor, the
-// Zipf hot-shard scenario, and arrival envelopes at the spec level.
+// models and for conflicting arrival processes, repeat identity inline and
+// on sweep workers, the Zipf hot-shard scenario, and arrival envelopes at
+// the spec level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +32,6 @@ ExperimentSpec fsm_spec() {
   spec.warmup = sim::sec(30);
   spec.seed = 11;
   spec.total_request_rate = 30.0;
-  spec.fsm_load.enabled = true;
   return spec;
 }
 
@@ -47,9 +47,9 @@ TEST(FsmExperimentTest, ClosedLoopRunConservesRequests) {
                                        r.discarded_samples() + exp.requests_in_flight());
   EXPECT_EQ(exp.requests_issued(), exp.pages_started());
   EXPECT_GT(exp.sessions_started(), 0u);
-  // The closed-loop population is sized like the coroutine driver: 30/s
-  // over three groups with a 7s think -> 70 recurring sessions per group,
-  // 210 resident until the end cutoff.
+  // The closed-loop population follows §3.3's sizing: 30/s over three
+  // groups with a 7s think -> 70 recurring sessions per group, 210
+  // resident until the end cutoff.
   EXPECT_EQ(exp.fsm_peak_live_sessions(), 210u);
   // Both usage patterns must flow through to the collector.
   EXPECT_GT(r.pattern_mean_ms("Browser", stats::ClientGroup::kLocal), 0.0);
@@ -106,17 +106,31 @@ TEST(FsmExperimentTest, SweepWorkerRunsRepeatTheInlineRun) {
 
 TEST(FsmExperimentTest, DriverWithoutModelsIsRefused) {
   apps::rubis::RubisApp app;
+  apps::AppDriver driver = app.driver();
+  driver.fsm_browser_model = nullptr;
+  driver.fsm_writer_model = nullptr;
   ExperimentSpec spec = fsm_spec();
-  core::Experiment exp{app.driver(), spec, core::rubis_calibration()};
+  core::Experiment exp{driver, spec, core::rubis_calibration()};
   EXPECT_THROW(exp.run(), std::invalid_argument);
 }
 
 TEST(FsmExperimentTest, FsmLoadExcludesOpenLoopArrivals) {
+  // Open-loop page arrivals and a session-arrival envelope are two
+  // different arrival processes: the combination is refused, whichever
+  // envelope carries it.
   apps::petstore::PetStoreApp app;
   ExperimentSpec spec = fsm_spec();
   spec.open_loop_arrivals = true;
+  spec.fsm_load.arrivals = workload::RateEnvelope::constant(5.0);
   core::Experiment exp{app.driver(), spec, core::petstore_calibration()};
   EXPECT_THROW(exp.run(), std::invalid_argument);
+
+  ExperimentSpec per_group = fsm_spec();
+  per_group.open_loop_arrivals = true;
+  per_group.fsm_load.group_arrivals = {workload::RateEnvelope{},
+                                       workload::RateEnvelope::constant(5.0)};
+  core::Experiment exp2{app.driver(), per_group, core::petstore_calibration()};
+  EXPECT_THROW(exp2.run(), std::invalid_argument);
 }
 
 TEST(FsmExperimentTest, ArrivalEnvelopeDrivesSessionCounts) {

@@ -249,6 +249,11 @@ struct EpochCase {
   double canary_fraction;  // 0 = direct flip, >0 = staged rollout
 };
 
+// Without this gtest prints the case as its raw bytes, pointers included,
+// which move with every build; ctest's discovered test names carry that
+// text, so they would change from build to build.
+void PrintTo(const EpochCase& c, std::ostream* os) { *os << c.name; }
+
 const EpochCase kEpochs[] = {
     {"flip_s1", 1, 0.0},
     {"flip_s2", 2, 0.0},

@@ -164,6 +164,11 @@ struct OverloadCase {
   double loss_prob;  // stochastic message loss (PR 2 fault machinery)
 };
 
+// Without this gtest prints the case as its raw bytes, pointers included,
+// which move with every build; ctest's discovered test names carry that
+// text, so they would change from build to build.
+void PrintTo(const OverloadCase& c, std::ostream* os) { *os << c.name; }
+
 const OverloadCase kCases[] = {
     {"facade_drop", ConfigLevel::kRemoteFacade, OverflowPolicy::kDrop, 0.0},
     {"async_drop_lossy", ConfigLevel::kAsyncUpdates, OverflowPolicy::kDrop, 0.01},

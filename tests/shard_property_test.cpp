@@ -262,6 +262,11 @@ struct ConservationCase {
   double coalesce_ms;  // 0 = per-transaction publishes (the paper's mode)
 };
 
+// Without this gtest prints the case as its raw bytes, pointers included,
+// which move with every build; ctest's discovered test names carry that
+// text, so they would change from build to build.
+void PrintTo(const ConservationCase& c, std::ostream* os) { *os << c.name; }
+
 const ConservationCase kLadder[] = {
     {"centralized_s1", core::ConfigLevel::kCentralized, 1, 0},
     {"facade_s2", core::ConfigLevel::kRemoteFacade, 2, 0},

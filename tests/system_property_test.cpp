@@ -92,6 +92,10 @@ TEST_P(EveryApp, BlockingPushIsZeroStalenessEverywhere) {
 TEST_P(EveryApp, AsyncRunsDrainAllUpdates) {
   const AppCase& c = GetParam();
   auto exp = run(c, ConfigLevel::kAsyncUpdates);
+  // run() stops at the load end with the last commits' propagation possibly
+  // still on the wire (writes may issue up to end_at); convergence is the
+  // state once that tail has landed.
+  (void)exp->simulator().run_until(exp->simulator().now() + sim::sec(60));
   EXPECT_TRUE(exp->runtime().updates_quiescent()) << c.name;
   EXPECT_EQ(exp->runtime().failed_pushes(), 0u);
   EXPECT_EQ(exp->dropped_requests(), 0u);
