@@ -183,7 +183,7 @@ class FixedLatencyExecutor final : public workload::RequestExecutor {
 class SessionsBenchModel final : public workload::FsmScriptModel {
  public:
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step == 0) scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(2, 4));
     if (step >= scratch.w0) return std::nullopt;
     workload::PageRequest req;

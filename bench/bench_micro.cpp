@@ -2,12 +2,17 @@
 // database engine, and placement algorithms.
 #include <benchmark/benchmark.h>
 
+#include "apps/rubis/rubis.hpp"
 #include "cache/query_cache.hpp"
 #include "cache/read_only_cache.hpp"
+#include "core/calibration.hpp"
+#include "core/experiment.hpp"
 #include "core/placement/algorithms.hpp"
+#include "core/placement/graph.hpp"
 #include "db/database.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
+#include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
@@ -118,7 +123,7 @@ BENCHMARK(BM_ReadOnlyCacheHit);
 
 core::placement::PlacementProblem synthetic_problem(std::size_t components, std::uint64_t seed) {
   using namespace core::placement;
-  sim::RngStream rng{seed};
+  sim::Rng rng{seed};
   PlacementProblem p;
   p.graph.add_vertex(Vertex{"__client_local__", VertexKind::kClientLocal});
   p.graph.add_vertex(Vertex{"__client_remote__", VertexKind::kClientRemote});
@@ -163,25 +168,32 @@ void BM_PlacementGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementGreedy)->Arg(16)->Arg(64)->Arg(128);
 
-void BM_PlacementLocalSearch(benchmark::State& state) {
-  auto p = synthetic_problem(static_cast<std::size_t>(state.range(0)), 3);
+/// Exact branch-and-bound on the RUBiS interaction graph (28 vertices, 25
+/// free), the largest graph in the tree: profiled at the Remote Façade rung
+/// over 600 simulated seconds, as bench_placement does.
+void BM_PlacementBranchAndBound(benchmark::State& state) {
+  static const core::placement::PlacementProblem problem = [] {
+    apps::rubis::RubisApp app;
+    core::ExperimentSpec spec;
+    spec.level = core::ConfigLevel::kRemoteFacade;
+    spec.duration = sim::sec(600);
+    spec.warmup = sim::sec(0);
+    core::Experiment exp{app.driver(), spec, core::rubis_calibration()};
+    exp.run();
+    core::placement::GraphBuildOptions opts;
+    opts.window = spec.duration;
+    core::placement::PlacementProblem p;
+    p.graph = core::placement::build_graph(exp.runtime().interaction_profile(), app.application(),
+                                           opts);
+    return p;
+  }();
   for (auto _ : state) {
-    auto r = core::placement::solve_local_search(p, sim::RngStream{9}, 4);
+    auto r = core::placement::solve_branch_and_bound(problem);
     benchmark::DoNotOptimize(r.cost);
   }
+  state.counters["free_vertices"] = static_cast<double>(problem.graph.free_vertex_count());
 }
-BENCHMARK(BM_PlacementLocalSearch)->Arg(16)->Arg(64);
-
-void BM_PlacementAnnealing(benchmark::State& state) {
-  auto p = synthetic_problem(static_cast<std::size_t>(state.range(0)), 3);
-  core::placement::AnnealingParams params;
-  params.iterations = 5000;
-  for (auto _ : state) {
-    auto r = core::placement::solve_annealing(p, sim::RngStream{9}, params);
-    benchmark::DoNotOptimize(r.cost);
-  }
-}
-BENCHMARK(BM_PlacementAnnealing)->Arg(16)->Arg(64);
+BENCHMARK(BM_PlacementBranchAndBound)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -50,17 +50,16 @@ void run_for_app(const apps::AppDriver& driver, const core::HarnessCalibration& 
   if (problem.graph.free_vertex_count() <= 22) {
     algorithms.push_back(Algorithm::kExhaustive);  // exact cross-check
   }
-  algorithms.insert(algorithms.end(),
-                    {Algorithm::kGreedy, Algorithm::kLocalSearch, Algorithm::kAnnealing});
+  algorithms.push_back(Algorithm::kGreedy);  // the myopic counterexample
 
   stats::TextTable table{{"algorithm", "WAN delay (ms/s)", "vs centralized"}};
   core::placement::Advice best;
   for (Algorithm a : algorithms) {
-    core::placement::Advice advice = core::placement::advise(problem, a, /*seed=*/7);
+    core::placement::Advice advice = core::placement::advise(problem, a);
     table.add_row({core::placement::to_string(a),
                    stats::TextTable::cell_fixed(advice.optimized_cost, 1),
                    "x" + stats::TextTable::cell_fixed(advice.improvement_factor(), 1)});
-    if (advice.optimized_cost <= best.optimized_cost || best.algorithm.empty()) {
+    if (advice.optimized_cost < best.optimized_cost || best.algorithm.empty()) {
       best = std::move(advice);
     }
   }

@@ -93,7 +93,7 @@ class LadderModel final : public mutsvc::workload::FsmScriptModel {
  public:
   std::optional<mutsvc::workload::PageRequest> next(std::uint32_t step,
                                                     mutsvc::workload::FsmScratch& scratch,
-                                                    mutsvc::workload::SmallRng& rng) const override {
+                                                    mutsvc::sim::Rng& rng) const override {
     if (step == 0) scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(2, 4));
     if (step >= scratch.w0) return std::nullopt;
     mutsvc::workload::PageRequest req;

@@ -30,7 +30,7 @@ constexpr int kArticles = 200;
 class ReaderModel final : public workload::FsmScriptModel {
  public:
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch&,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step >= 12) return std::nullopt;
     workload::PageRequest req;
     req.pattern = "Reader";
@@ -57,7 +57,7 @@ class ReaderModel final : public workload::FsmScriptModel {
 class EditorModel final : public workload::FsmScriptModel {
  public:
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step == 0) scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(1, kArticles));
     const auto article = static_cast<std::int64_t>(scratch.w0);
     workload::PageRequest req;

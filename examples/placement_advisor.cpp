@@ -45,7 +45,7 @@ int main() {
 
   // Step 2: optimize.
   core::placement::Advice advice =
-      core::placement::advise(problem, core::placement::Algorithm::kAnnealing, /*seed=*/11);
+      core::placement::advise(problem, core::placement::Algorithm::kBranchAndBound);
   std::cout << advice.describe(problem.graph) << "\n";
 
   // Step 3: synthesize a deployment plan and simulate it.

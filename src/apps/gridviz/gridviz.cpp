@@ -264,7 +264,7 @@ class FsmAnalystModel final : public workload::FsmScriptModel {
   explicit FsmAnalystModel(Shape shape) : shape_(shape) {}
 
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step >= static_cast<std::uint32_t>(GridVizApp::kAnalystSessionLength)) {
       return std::nullopt;
     }
@@ -313,7 +313,7 @@ class FsmOperatorModel final : public workload::FsmScriptModel {
   explicit FsmOperatorModel(Shape shape) : shape_(shape) {}
 
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step == 0) {
       const std::int64_t op = rng.uniform_int(1, shape_.operators);
       const std::int64_t dataset = rng.uniform_int(1, shape_.datasets);

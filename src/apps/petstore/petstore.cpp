@@ -384,7 +384,7 @@ class FsmBrowserModel final : public workload::FsmScriptModel {
   }
 
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step >= static_cast<std::uint32_t>(PetStoreApp::kBrowserSessionLength)) {
       return std::nullopt;
     }
@@ -458,7 +458,7 @@ class FsmBuyerModel final : public workload::FsmScriptModel {
   }
 
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step == 0) {
       scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(1, shape_.accounts));
       std::int64_t item = 0;

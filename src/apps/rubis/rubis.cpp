@@ -368,7 +368,7 @@ class FsmBrowserModel final : public workload::FsmScriptModel {
   explicit FsmBrowserModel(Shape shape) : shape_(shape) {}
 
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step >= static_cast<std::uint32_t>(RubisApp::kBrowserSessionLength)) {
       return std::nullopt;
     }
@@ -423,7 +423,7 @@ class FsmBrowserModel final : public workload::FsmScriptModel {
 
  private:
   /// An item of the current category (drawing one first if none is open).
-  [[nodiscard]] std::int64_t pick_item(std::int64_t& category, workload::SmallRng& rng) const {
+  [[nodiscard]] std::int64_t pick_item(std::int64_t& category, sim::Rng& rng) const {
     if (category == 0) category = rng.uniform_int(1, shape_.categories);
     // Items of a category are spaced `categories` apart (item_category).
     const auto per_cat = static_cast<std::int64_t>(shape_.items / shape_.categories);
@@ -443,7 +443,7 @@ class FsmBidderModel final : public workload::FsmScriptModel {
   explicit FsmBidderModel(Shape shape) : shape_(shape) {}
 
   std::optional<workload::PageRequest> next(std::uint32_t step, workload::FsmScratch& scratch,
-                                            workload::SmallRng& rng) const override {
+                                            sim::Rng& rng) const override {
     if (step == 0) {
       const std::int64_t user = rng.uniform_int(1, shape_.users);
       // Bidding concentrates on active auctions: 80% of bids go to a hot

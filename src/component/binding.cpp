@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-namespace mutsvc::comp {
+#include "sim/random.hpp"
 
-namespace {
-/// splitmix64 finalizer (local copy: component/ does not depend on
-/// workload/). Pure function, so canary routing is replay-identical.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
+namespace mutsvc::comp {
 
 bool BindingTable::contains(const std::vector<net::NodeId>& nodes, net::NodeId n) {
   for (net::NodeId x : nodes) {
@@ -38,7 +29,7 @@ bool BindingTable::canary_selects(std::uint64_t session_key, std::uint64_t salt,
   // Threshold comparison in the top 53 bits: exact for every fraction a
   // double can represent, bit-identical everywhere.
   const auto threshold = static_cast<std::uint64_t>(fraction * 9007199254740992.0);  // 2^53
-  return (mix64(session_key ^ mix64(salt)) >> 11) < threshold;
+  return (sim::Rng::mix(session_key ^ sim::Rng::mix(salt)) >> 11) < threshold;
 }
 
 net::NodeId BindingTable::resolve(const std::string& component, net::NodeId from,

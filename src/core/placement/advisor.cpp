@@ -9,8 +9,6 @@ const char* to_string(Algorithm a) {
     case Algorithm::kExhaustive: return "exhaustive";
     case Algorithm::kBranchAndBound: return "branch-and-bound";
     case Algorithm::kGreedy: return "greedy";
-    case Algorithm::kLocalSearch: return "local-search";
-    case Algorithm::kAnnealing: return "annealing";
   }
   return "?";
 }
@@ -31,18 +29,12 @@ std::string Advice::describe(const InteractionGraph& graph) const {
   return os.str();
 }
 
-Advice advise(const PlacementProblem& problem, Algorithm algorithm, std::uint64_t seed) {
+Advice advise(const PlacementProblem& problem, Algorithm algorithm) {
   SolveResult solved;
   switch (algorithm) {
     case Algorithm::kExhaustive: solved = solve_exhaustive(problem); break;
     case Algorithm::kBranchAndBound: solved = solve_branch_and_bound(problem); break;
     case Algorithm::kGreedy: solved = solve_greedy(problem); break;
-    case Algorithm::kLocalSearch:
-      solved = solve_local_search(problem, sim::RngStream{seed}.fork("local-search"));
-      break;
-    case Algorithm::kAnnealing:
-      solved = solve_annealing(problem, sim::RngStream{seed}.fork("annealing"));
-      break;
   }
 
   const CostModel model{problem};

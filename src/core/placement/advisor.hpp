@@ -30,14 +30,13 @@ struct Advice {
   [[nodiscard]] std::string describe(const InteractionGraph& graph) const;
 };
 
-enum class Algorithm { kExhaustive, kBranchAndBound, kGreedy, kLocalSearch, kAnnealing };
+enum class Algorithm { kExhaustive, kBranchAndBound, kGreedy };
 
 [[nodiscard]] const char* to_string(Algorithm a);
 
 /// Solves the placement problem and interprets the assignment back into
 /// component-level deployment advice.
-[[nodiscard]] Advice advise(const PlacementProblem& problem, Algorithm algorithm,
-                            std::uint64_t seed = 1);
+[[nodiscard]] Advice advise(const PlacementProblem& problem, Algorithm algorithm);
 
 /// Synthesizes a runnable DeploymentPlan from the advice: the centralized
 /// baseline plus the advised replication, with the matching design-rule

@@ -1,7 +1,6 @@
 #include "core/placement/algorithms.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -210,106 +209,6 @@ SolveResult solve_greedy(const PlacementProblem& problem) {
     }
   }
   return result;
-}
-
-namespace {
-
-/// Steepest-descent single-flip refinement from a starting assignment.
-void hill_climb(const CostModel& model, const std::vector<std::size_t>& free,
-                Assignment& a, double& cost, std::uint64_t& evaluations) {
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    std::size_t best_vertex = 0;
-    double best_cost = cost;
-    for (std::size_t v : free) {
-      a[v] = !a[v];
-      const double c = model.cost(a);
-      ++evaluations;
-      a[v] = !a[v];
-      if (c < best_cost) {
-        best_cost = c;
-        best_vertex = v;
-        improved = true;
-      }
-    }
-    if (improved) {
-      a[best_vertex] = !a[best_vertex];
-      cost = best_cost;
-    }
-  }
-}
-
-}  // namespace
-
-SolveResult solve_local_search(const PlacementProblem& problem, sim::RngStream rng,
-                               int restarts) {
-  const CostModel model{problem};
-  const std::vector<std::size_t> free = free_vertices(problem);
-
-  SolveResult best;
-  best.algorithm = "local-search";
-  best.assignment.assign(problem.graph.vertex_count(), false);
-  best.cost = model.cost(best.assignment);
-  best.evaluations = 1;
-
-  for (int r = 0; r < restarts; ++r) {
-    Assignment a(problem.graph.vertex_count(), false);
-    if (r > 0) {  // restart 0 climbs from the centralized assignment
-      for (std::size_t v : free) a[v] = rng.bernoulli(0.5);
-    }
-    double cost = model.cost(a);
-    ++best.evaluations;
-    hill_climb(model, free, a, cost, best.evaluations);
-    if (cost < best.cost) {
-      best.cost = cost;
-      best.assignment = std::move(a);
-    }
-  }
-  return best;
-}
-
-SolveResult solve_annealing(const PlacementProblem& problem, sim::RngStream rng,
-                            AnnealingParams params) {
-  const CostModel model{problem};
-  const std::vector<std::size_t> free = free_vertices(problem);
-
-  SolveResult best;
-  best.algorithm = "annealing";
-  best.assignment.assign(problem.graph.vertex_count(), false);
-  best.cost = model.cost(best.assignment);
-  best.evaluations = 1;
-  if (free.empty()) return best;
-
-  Assignment current = best.assignment;
-  double current_cost = best.cost;
-  double temperature = params.initial_temperature > 0.0
-                           ? params.initial_temperature
-                           : std::max(1.0, 0.3 * best.cost);
-
-  for (int i = 0; i < params.iterations; ++i) {
-    const std::size_t v = free[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(free.size()) - 1))];
-    current[v] = !current[v];
-    const double c = model.cost(current);
-    ++best.evaluations;
-    const double delta = c - current_cost;
-    if (delta <= 0.0 || rng.uniform01() < std::exp(-delta / temperature)) {
-      current_cost = c;
-      if (c < best.cost) {
-        best.cost = c;
-        best.assignment = current;
-      }
-    } else {
-      current[v] = !current[v];  // reject
-    }
-    temperature *= params.cooling;
-  }
-  // Polish: descend from the best state found so neutral flips that rode
-  // along with improving moves (e.g. replicating state nobody reads) are
-  // cleaned off.
-  hill_climb(model, free, best.assignment, best.cost, best.evaluations);
-  return best;
 }
 
 }  // namespace mutsvc::core::placement

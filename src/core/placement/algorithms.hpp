@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/placement/model.hpp"
-#include "sim/random.hpp"
 
 namespace mutsvc::core::placement {
 
@@ -27,24 +26,9 @@ struct SolveResult {
 [[nodiscard]] SolveResult solve_branch_and_bound(const PlacementProblem& problem);
 
 /// Marginal-gain greedy: starting centralized, repeatedly replicate the
-/// vertex with the largest cost reduction until none improves.
+/// vertex with the largest cost reduction until none improves. Kept as the
+/// myopic counterexample (`bench_placement`): replicating one component
+/// alone rarely helps until its whole call chain moves.
 [[nodiscard]] SolveResult solve_greedy(const PlacementProblem& problem);
-
-/// Single-flip hill climbing (Kernighan–Lin flavoured: both directions,
-/// steepest descent) with random restarts.
-[[nodiscard]] SolveResult solve_local_search(const PlacementProblem& problem,
-                                             sim::RngStream rng, int restarts = 8);
-
-struct AnnealingParams {
-  /// <= 0 auto-scales to a fraction of the centralized cost, so acceptance
-  /// probabilities are meaningful regardless of the workload's magnitude.
-  double initial_temperature = 0.0;
-  double cooling = 0.9995;
-  int iterations = 30000;
-};
-
-/// Simulated annealing over single flips; seeded and deterministic.
-[[nodiscard]] SolveResult solve_annealing(const PlacementProblem& problem, sim::RngStream rng,
-                                          AnnealingParams params = {});
 
 }  // namespace mutsvc::core::placement

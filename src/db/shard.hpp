@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "sim/random.hpp"
+
 namespace mutsvc::db {
 
 /// Deterministic hash partitioning of primary-key space across N database
@@ -11,10 +13,10 @@ namespace mutsvc::db {
 ///
 /// The mapping is a pure function of (key, shard_count): the same key maps
 /// to the same shard in every run, every process, every platform — the
-/// property the shard battery's determinism suite pins down. The hash is a
-/// splitmix64 finalizer, so consecutive keys spread uniformly instead of
-/// striping (pk % N would put every Nth row on one shard and make the
-/// "hot tail" of freshly inserted rows collide).
+/// property the shard battery's determinism suite pins down. The hash is the
+/// splitmix64 finalizer `sim::Rng::mix`, so consecutive keys spread
+/// uniformly instead of striping (pk % N would put every Nth row on one
+/// shard and make the "hot tail" of freshly inserted rows collide).
 class ShardRouter {
  public:
   explicit ShardRouter(std::size_t shard_count) : shards_(shard_count) {
@@ -26,18 +28,11 @@ class ShardRouter {
 
   [[nodiscard]] std::size_t shard_of(std::int64_t pk) const {
     if (shards_ == 1) return 0;
-    return static_cast<std::size_t>(mix(static_cast<std::uint64_t>(pk)) %
+    return static_cast<std::size_t>(sim::Rng::mix(static_cast<std::uint64_t>(pk)) %
                                     static_cast<std::uint64_t>(shards_));
   }
 
  private:
-  [[nodiscard]] static std::uint64_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
   std::size_t shards_;
 };
 

@@ -8,9 +8,9 @@ FaultInjector::FaultInjector(sim::Simulator& sim, Topology& topo, FaultPlan plan
     : sim_(sim),
       topo_(topo),
       plan_(std::move(plan)),
-      loss_rng_(sim.rng().fork("fault-loss")),
-      jitter_rng_(sim.rng().fork("fault-jitter")),
-      flap_rng_(sim.rng().fork("fault-flap")) {}
+      loss_rng_(sim::Rng::named_seed(sim.seed(), "fault-loss")),
+      jitter_rng_(sim::Rng::named_seed(sim.seed(), "fault-jitter")),
+      flap_rng_(sim::Rng::named_seed(sim.seed(), "fault-flap")) {}
 
 double FaultInjector::loss_prob_for(const Link& link) const {
   for (const auto& o : plan_.link_loss) {

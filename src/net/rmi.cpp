@@ -13,7 +13,8 @@ void RmiTransport::partition_streams(std::size_t node_count) {
   node_rngs_.clear();
   node_rngs_.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
-    node_rngs_.push_back(net_.simulator().rng().fork("rmi-node-" + std::to_string(i)));
+    node_rngs_.emplace_back(
+        sim::Rng::named_seed(net_.simulator().seed(), "rmi-node-" + std::to_string(i)));
   }
 }
 

@@ -1,67 +1,97 @@
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "sim/time.hpp"
 
 namespace mutsvc::sim {
 
-/// A deterministic, named random stream.
+/// The simulation's one random generator: a deterministic, named stream
+/// whose whole state is one 64-bit splitmix64 counter.
 ///
-/// Every source of randomness in a simulation draws from its own stream,
-/// derived from the root seed and a name; this keeps runs reproducible and
-/// makes components statistically independent of each other's draw order.
-class RngStream {
+/// Every source of randomness draws from its own stream, seeded by a pure
+/// function of the root seed and a name or index (`named_seed`,
+/// `stream_seed`); this keeps runs reproducible and makes components
+/// statistically independent of each other's draw order. One word of state
+/// lets a million FSM sessions (DESIGN §16) carry a million words, and
+/// every distribution below is written out here rather than taken from the
+/// standard library, whose distribution algorithms are
+/// implementation-defined — so draws are bit-identical on every platform.
+class Rng {
  public:
-  explicit RngStream(std::uint64_t seed)
-      : engine_(seed), seed_mix_(0xcbf29ce484222325ULL ^ (seed * 0x9e3779b97f4a7c15ULL)) {}
+  explicit constexpr Rng(std::uint64_t state) : state_(state) {}
 
-  /// Derives an independent child stream. The child's seed is a stable
-  /// function of this stream's seed and `name` (not of any draws made).
-  [[nodiscard]] RngStream fork(std::string_view name) const {
-    std::uint64_t h = seed_mix_;
+  /// splitmix64 finalizer: a bijective avalanche mix on 64 bits. Also the
+  /// stateless hash behind shard routing and canary selection.
+  [[nodiscard]] static constexpr std::uint64_t mix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
+  /// Seed for the `stream`-th independent stream under `seed` — a pure
+  /// function of its arguments, so per-session streams don't depend on the
+  /// order sessions are created in.
+  [[nodiscard]] static constexpr std::uint64_t stream_seed(std::uint64_t seed,
+                                                           std::uint64_t stream) {
+    return mix(seed ^ mix(stream));
+  }
+
+  /// Seed for the stream named `name` under `seed` (FNV-1a over the name).
+  /// Depends on nothing but its arguments, never on draws made elsewhere.
+  [[nodiscard]] static constexpr std::uint64_t named_seed(std::uint64_t seed,
+                                                          std::string_view name) {
+    std::uint64_t h = 0xcbf29ce484222325ULL ^ (seed * 0x9e3779b97f4a7c15ULL);
     for (char c : name) {
       h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
       h *= 0x100000001b3ULL;  // FNV-1a prime
     }
-    return RngStream{h, /*mix=*/h * 0x9e3779b97f4a7c15ULL};
+    return mix(h);
   }
 
+  [[nodiscard]] constexpr std::uint64_t next_u64() {
+    const std::uint64_t x = state_;
+    state_ += 0x9e3779b97f4a7c15ULL;
+    return mix(x);
+  }
+
+  /// Uniform in [0, 1).
   [[nodiscard]] double uniform01() {
-    return std::uniform_real_distribution<double>{0.0, 1.0}(engine_);
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  [[nodiscard]] double uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
+
+  /// Uniform integer in [lo, hi] inclusive. The modulo bias is below 2^-32
+  /// for every range this simulation uses — irrelevant next to model error,
+  /// and the fixed algorithm keeps draws bit-reproducible everywhere.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     if (lo > hi) throw std::invalid_argument("uniform_int: lo > hi");
-    return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine_);
+    const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+    return lo + static_cast<std::int64_t>(next_u64() % span);
   }
 
-  [[nodiscard]] double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>{lo, hi}(engine_);
-  }
+  [[nodiscard]] bool bernoulli(double p) { return uniform01() < p; }
 
-  [[nodiscard]] bool bernoulli(double p) {
-    return std::bernoulli_distribution{p}(engine_);
-  }
-
+  /// Exponential with the given mean (inverse-CDF; uniform01() < 1 keeps
+  /// the log argument positive).
   [[nodiscard]] double exponential(double mean) {
     if (mean <= 0.0) throw std::invalid_argument("exponential: mean must be > 0");
-    return std::exponential_distribution<double>{1.0 / mean}(engine_);
+    return -mean * std::log(1.0 - uniform01());
   }
 
   [[nodiscard]] Duration exponential(Duration mean) {
     return Duration::seconds(exponential(mean.as_seconds()));
   }
 
-  /// Picks an index in [0, weights.size()) with probability proportional to
-  /// its weight. Weights need not be normalized.
+  /// Index in [0, weights.size()) with probability proportional to its
+  /// weight, from one uniform01() draw. Weights need not be normalized.
   [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) {
     if (weights.empty()) throw std::invalid_argument("weighted_index: empty weights");
     double total = 0.0;
@@ -70,7 +100,7 @@ class RngStream {
       total += w;
     }
     if (total <= 0.0) throw std::invalid_argument("weighted_index: zero total weight");
-    double r = uniform01() * total;
+    const double r = uniform01() * total;
     double acc = 0.0;
     for (std::size_t i = 0; i < weights.size(); ++i) {
       acc += weights[i];
@@ -79,17 +109,11 @@ class RngStream {
     return weights.size() - 1;
   }
 
-  template <class T>
-  [[nodiscard]] const T& pick(const std::vector<T>& items) {
-    if (items.empty()) throw std::invalid_argument("pick: empty vector");
-    return items[static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(items.size()) - 1))];
-  }
+  /// The whole generator state: `Rng{state()}` resumes the exact sequence.
+  [[nodiscard]] constexpr std::uint64_t state() const { return state_; }
 
  private:
-  RngStream(std::uint64_t seed, std::uint64_t mix) : engine_(seed), seed_mix_(mix) {}
-
-  std::mt19937_64 engine_;
-  std::uint64_t seed_mix_;
+  std::uint64_t state_;
 };
 
 }  // namespace mutsvc::sim

@@ -35,7 +35,7 @@ constexpr std::uintptr_t kResumeBit = 1;
 
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed) : dseq_(1, 0), rng_(seed) {}
+Simulator::Simulator(std::uint64_t seed) : dseq_(1, 0), seed_(seed) {}
 
 Simulator::DomainScope::DomainScope(Simulator& sim, DomainId d)
     : sim_(sim), prev_(sim.current_domain_) {

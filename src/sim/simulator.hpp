@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/event_fn.hpp"
-#include "sim/random.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -92,8 +91,9 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::size_t executed_events() const { return executed_; }
 
-  /// Root RNG; subsystems should fork named streams from it.
-  [[nodiscard]] RngStream& rng() { return rng_; }
+  /// Root seed; subsystems derive their own streams from it with
+  /// `Rng::named_seed(seed(), "<name>")`.
+  [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   // --- lookahead domains (event order, DESIGN §15) -------------------------
 
@@ -169,7 +169,7 @@ class Simulator {
   std::uint32_t domain_count_ = 0;         // 0 = untagged legacy mode
   DomainId current_domain_ = 0;
   std::vector<std::uint64_t> dseq_;        // per-owner sequence counters
-  RngStream rng_;
+  std::uint64_t seed_;
 };
 
 }  // namespace mutsvc::sim

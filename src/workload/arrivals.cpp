@@ -163,7 +163,7 @@ std::optional<sim::Duration> RateEnvelope::next_boundary_after(sim::Duration off
 }
 
 std::optional<sim::Duration> PoissonProcess::next_after(sim::Duration offset,
-                                                        SmallRng& rng) const {
+                                                        sim::Rng& rng) const {
   if (env_.empty()) return std::nullopt;
   sim::Duration t = std::max(offset, sim::Duration::zero());
   // Bounded only as a safety net: each iteration either returns or advances
@@ -204,7 +204,7 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
   for (double& c : cdf_) c /= acc;
 }
 
-std::size_t ZipfSampler::sample(SmallRng& rng) const {
+std::size_t ZipfSampler::sample(sim::Rng& rng) const {
   const double u = rng.uniform01();
   const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
   return it == cdf_.end() ? cdf_.size() - 1 : static_cast<std::size_t>(it - cdf_.begin());

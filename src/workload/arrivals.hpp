@@ -1,104 +1,14 @@
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <string_view>
 #include <vector>
 
+#include "sim/random.hpp"
 #include "sim/time.hpp"
 
 namespace mutsvc::workload {
-
-/// Compact counter-based random stream for the million-session FSM load
-/// engine (DESIGN §16): the whole generator is one 64-bit word (a splitmix64
-/// counter), so a million sessions carry a million words instead of a
-/// million full-size engines. Like sim::RngStream::fork, streams are pure
-/// functions of (seed, stream index / name) — independent of creation order
-/// and of draws made on any other stream.
-class SmallRng {
- public:
-  explicit constexpr SmallRng(std::uint64_t state) : state_(state) {}
-
-  /// splitmix64 finalizer: a bijective avalanche mix on 64 bits.
-  [[nodiscard]] static constexpr std::uint64_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
-  /// Seed for the `stream`-th independent stream under `seed` — a pure
-  /// function of its arguments, so per-session streams don't depend on the
-  /// order sessions are created in.
-  [[nodiscard]] static constexpr std::uint64_t stream_seed(std::uint64_t seed,
-                                                           std::uint64_t stream) {
-    return mix(seed ^ mix(stream));
-  }
-
-  /// Named variant (FNV-1a over the name, like RngStream::fork).
-  [[nodiscard]] static std::uint64_t named_seed(std::uint64_t seed, std::string_view name) {
-    std::uint64_t h = 0xcbf29ce484222325ULL ^ (seed * 0x9e3779b97f4a7c15ULL);
-    for (char c : name) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      h *= 0x100000001b3ULL;
-    }
-    return mix(h);
-  }
-
-  [[nodiscard]] std::uint64_t next_u64() {
-    state_ += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t x = state_;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
-  /// Uniform in [0, 1).
-  [[nodiscard]] double uniform01() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
-
-  [[nodiscard]] double uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
-
-  /// Uniform integer in [lo, hi] inclusive. The modulo bias is below 2^-32
-  /// for every range this simulation uses — irrelevant next to model error,
-  /// and the fixed algorithm keeps draws bit-reproducible everywhere.
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    const auto span = static_cast<std::uint64_t>(hi - lo + 1);
-    return lo + static_cast<std::int64_t>(next_u64() % span);
-  }
-
-  [[nodiscard]] bool bernoulli(double p) { return uniform01() < p; }
-
-  /// Exponential with the given mean (inverse-CDF; uniform01() < 1 keeps
-  /// the log argument positive).
-  [[nodiscard]] double exponential(double mean) {
-    double u = uniform01();
-    return -mean * std::log(1.0 - u);
-  }
-
-  /// Index in [0, weights.size()) with probability proportional to weight.
-  /// Same contract as RngStream::weighted_index, one uniform01() draw.
-  [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) {
-    double total = 0.0;
-    for (double w : weights) total += w;
-    double r = uniform01() * total;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      acc += weights[i];
-      if (r < acc) return i;
-    }
-    return weights.empty() ? 0 : weights.size() - 1;
-  }
-
-  [[nodiscard]] constexpr std::uint64_t state() const { return state_; }
-
- private:
-  std::uint64_t state_;
-};
 
 /// One constant-rate segment of a rate envelope, starting at `offset` from
 /// the envelope origin.
@@ -181,7 +91,7 @@ class PoissonProcess {
   /// Offset of the next arrival strictly after `offset`; nullopt when the
   /// rate is zero forever after (the process has ended).
   [[nodiscard]] std::optional<sim::Duration> next_after(sim::Duration offset,
-                                                        SmallRng& rng) const;
+                                                        sim::Rng& rng) const;
 
  private:
   RateEnvelope env_;
@@ -197,7 +107,7 @@ class ZipfSampler {
   [[nodiscard]] double exponent() const { return s_; }
 
   /// Rank in [0, n), inverse-CDF over one uniform01() draw.
-  [[nodiscard]] std::size_t sample(SmallRng& rng) const;
+  [[nodiscard]] std::size_t sample(sim::Rng& rng) const;
 
   /// Closed-form P(rank k) — what sampled frequencies must converge to.
   [[nodiscard]] double expected_freq(std::size_t rank) const;

@@ -7,7 +7,7 @@
 namespace mutsvc::workload {
 
 std::vector<PageRequest> replay_session(const FsmScriptModel& model, std::uint64_t seed) {
-  SmallRng rng(seed);
+  sim::Rng rng(seed);
   FsmScratch scratch;
   std::vector<PageRequest> pages;
   while (std::optional<PageRequest> req =
@@ -78,10 +78,10 @@ void SessionFsmEngine::start_population(std::uint8_t kind, std::size_t count,
   const double think_s = cfg_.think_time.as_seconds();
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint32_t id =
-        alloc_session(kind, SmallRng::stream_seed(seed, i), Mode::kRecurring);
+        alloc_session(kind, sim::Rng::stream_seed(seed, i), Mode::kRecurring);
     // Stagger starts uniformly across one think interval (the session's
     // first own draw), so the fleet does not fire in lock-step.
-    SmallRng rng(arena_[id].rng_state);
+    sim::Rng rng(arena_[id].rng_state);
     const sim::SimTime due = sim_.now() + sim::Duration::seconds(rng.uniform(0.0, think_s));
     arena_[id].rng_state = rng.state();
     enqueue(id, due);
@@ -114,14 +114,14 @@ sim::Task<void> SessionFsmEngine::open_loop_pump(std::array<std::uint8_t, 2> kin
   // per group live in the pump's frame rather than the arena: they are
   // never idle in the calendar, each arrival advances one of them in place.
   struct Rotating {
-    SmallRng rng{0};
+    sim::Rng rng{0};
     FsmScratch scratch;
     std::uint32_t step = 0;
     std::uint64_t key = 0;
     bool sterile = false;
   };
   std::array<Rotating, 2> sessions;
-  SmallRng rng(SmallRng::stream_seed(seed, 0));
+  sim::Rng rng(sim::Rng::stream_seed(seed, 0));
   std::uint64_t rotations = 0;
   const double mean_gap_s = 1.0 / pages_per_second;
   for (;;) {
@@ -137,9 +137,9 @@ sim::Task<void> SessionFsmEngine::open_loop_pump(std::array<std::uint8_t, 2> kin
       // The script ended (or none has started): rotate into a fresh
       // session on its own stream. Streams past index 0 never collide
       // with the pump's own.
-      const std::uint64_t session_seed = SmallRng::stream_seed(seed, ++rotations);
+      const std::uint64_t session_seed = sim::Rng::stream_seed(seed, ++rotations);
       s = Rotating{};
-      s.rng = SmallRng(session_seed);
+      s.rng = sim::Rng(session_seed);
       req = model.next(0, s.scratch, s.rng);
       if (!req) {
         // Empty from step 0: mark the kind sterile once instead of
@@ -148,7 +148,7 @@ sim::Task<void> SessionFsmEngine::open_loop_pump(std::array<std::uint8_t, 2> kin
         if (sessions[0].sterile && sessions[1].sterile) co_return;
         continue;
       }
-      s.key = SmallRng::mix(session_seed ^ cfg_.session_salt);
+      s.key = sim::Rng::mix(session_seed ^ cfg_.session_salt);
       ++sessions_;
     }
     ++s.step;
@@ -162,7 +162,7 @@ sim::Task<void> SessionFsmEngine::open_loop_pump(std::array<std::uint8_t, 2> kin
 sim::Task<void> SessionFsmEngine::arrival_pump(std::uint8_t kind, RateEnvelope envelope,
                                                std::uint64_t seed) {
   const PoissonProcess process(std::move(envelope));
-  SmallRng rng(SmallRng::stream_seed(seed, 0));
+  sim::Rng rng(sim::Rng::stream_seed(seed, 0));
   std::uint64_t arrivals = 0;
   sim::Duration offset = sim_.now() - sim::SimTime::origin();
   for (;;) {
@@ -175,7 +175,7 @@ sim::Task<void> SessionFsmEngine::arrival_pump(std::uint8_t kind, RateEnvelope e
     // Per-session streams keyed off a separate stream index space (+1) so
     // they never collide with the pump's own stream.
     const std::uint32_t id =
-        alloc_session(kind, SmallRng::stream_seed(seed, ++arrivals), Mode::kOneShot);
+        alloc_session(kind, sim::Rng::stream_seed(seed, ++arrivals), Mode::kOneShot);
     fire(id);
   }
 }
@@ -222,7 +222,7 @@ void SessionFsmEngine::fire(std::uint32_t id) {
     return;
   }
   SessionRecord& rec = arena_[id];
-  SmallRng rng(rec.rng_state);
+  sim::Rng rng(rec.rng_state);
   FsmScratch scratch{rec.w0, rec.w1};
   std::optional<PageRequest> req = kinds_[rec.kind].model->next(rec.step, scratch, rng);
   rec.rng_state = rng.state();
@@ -236,7 +236,7 @@ void SessionFsmEngine::fire(std::uint32_t id) {
   // Sticky routing key: a pure mix of the arena slot and the engine salt —
   // no RNG draw, no extra record bytes. Slot reuse re-keys one-shot
   // sessions only after the previous occupant fully left.
-  req->session_key = SmallRng::mix(static_cast<std::uint64_t>(id) ^ cfg_.session_salt);
+  req->session_key = sim::Rng::mix(static_cast<std::uint64_t>(id) ^ cfg_.session_salt);
   ++requests_;  // counted at issue time
   if (rec.step == 1) ++sessions_;
   sim_.spawn(issue(id, rec.kind, std::move(*req), sim_.now()));

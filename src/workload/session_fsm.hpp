@@ -48,7 +48,7 @@ class FsmScriptModel {
   virtual ~FsmScriptModel() = default;
   /// Page for 0-based `step`, or nullopt to end the session.
   [[nodiscard]] virtual std::optional<PageRequest> next(std::uint32_t step, FsmScratch& scratch,
-                                                        SmallRng& rng) const = 0;
+                                                        sim::Rng& rng) const = 0;
   [[nodiscard]] virtual const char* pattern() const = 0;
 };
 

@@ -15,7 +15,6 @@ namespace {
 using comp::ComponentKind;
 using workload::PageRequest;
 using workload::replay_session;
-using workload::SmallRng;
 
 struct Fixture {
   GridVizApp app;
@@ -86,7 +85,7 @@ TEST(GridVizSessionTest, AnalystScrubsForwardWithinOneDataset) {
   for (int i = 0; i < 20; ++i) {
     std::int64_t dataset = 0;
     int count = 0;
-    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(3, i))) {
+    for (const PageRequest& req : replay_session(*model, sim::Rng::stream_seed(3, i))) {
       ++count;
       EXPECT_EQ(req.pattern, "Analyst");
       if (req.page == "Dataset") dataset = db::as_int(req.args.at(0));

@@ -13,7 +13,6 @@ namespace {
 using comp::ComponentKind;
 using workload::PageRequest;
 using workload::replay_session;
-using workload::SmallRng;
 
 struct Fixture {
   PetStoreApp app;
@@ -136,7 +135,7 @@ TEST(PetStoreSessionTest, BrowserMixApproximatesTable2) {
   std::map<std::string, int> counts;
   int total = 0;
   for (int s = 0; s < 800; ++s) {
-    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(11, s))) {
+    for (const PageRequest& req : replay_session(*model, sim::Rng::stream_seed(11, s))) {
       ++counts[req.page];
       ++total;
     }
@@ -161,7 +160,7 @@ TEST(PetStoreSessionTest, ItemRequestsBelongToPreviouslyBrowsedProduct) {
   const auto model = app.fsm_browser_model(0.0);
   for (int si = 0; si < 50; ++si) {
     std::int64_t last_product = 0;
-    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(13, si))) {
+    for (const PageRequest& req : replay_session(*model, sim::Rng::stream_seed(13, si))) {
       if (req.page == "Product") {
         last_product = db::as_int(req.args.at(0));
       } else if (req.page == "Item") {
@@ -214,8 +213,8 @@ TEST(PetStoreSessionTest, FactorySessionsAreIndependentButDeterministic) {
   const auto m1 = app.fsm_browser_model(0.0);
   const auto m2 = app.fsm_browser_model(0.0);
   for (int s = 0; s < 3; ++s) {
-    const std::vector<PageRequest> a = replay_session(*m1, SmallRng::stream_seed(21, s));
-    const std::vector<PageRequest> b = replay_session(*m2, SmallRng::stream_seed(21, s));
+    const std::vector<PageRequest> a = replay_session(*m1, sim::Rng::stream_seed(21, s));
+    const std::vector<PageRequest> b = replay_session(*m2, sim::Rng::stream_seed(21, s));
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].page, b[i].page);

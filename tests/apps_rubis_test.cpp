@@ -13,7 +13,6 @@ namespace {
 using comp::ComponentKind;
 using workload::PageRequest;
 using workload::replay_session;
-using workload::SmallRng;
 
 struct Fixture {
   RubisApp app;
@@ -142,7 +141,7 @@ TEST(RubisSessionTest, BrowserMixApproximatesTable4) {
   std::map<std::string, int> counts;
   int total = 0;
   for (int s = 0; s < 400; ++s) {
-    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(17, s))) {
+    for (const PageRequest& req : replay_session(*model, sim::Rng::stream_seed(17, s))) {
       ++counts[req.page];
       ++total;
     }
@@ -176,7 +175,7 @@ TEST(RubisSessionTest, BidderCommentsTheSellerOfTheBidItem) {
   const auto model = app.fsm_bidder_model(0.0);
   for (int i = 0; i < 20; ++i) {
     std::int64_t item = 0;
-    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(29, i))) {
+    for (const PageRequest& req : replay_session(*model, sim::Rng::stream_seed(29, i))) {
       if (req.page == "Store Bid") item = db::as_int(req.args.at(1));
       if (req.page == "Store Comment") {
         EXPECT_EQ(db::as_int(req.args.at(1)), s.item_seller(item));
@@ -193,7 +192,7 @@ TEST(RubisSessionTest, BiddingSkewsToHotItems) {
   int hot = 0;
   int total = 0;
   for (int i = 0; i < 500; ++i) {
-    for (const PageRequest& req : replay_session(*model, SmallRng::stream_seed(31, i))) {
+    for (const PageRequest& req : replay_session(*model, sim::Rng::stream_seed(31, i))) {
       if (req.page == "Store Bid") {
         ++total;
         if (db::as_int(req.args.at(1)) <= s.items / 10) ++hot;

@@ -1,8 +1,8 @@
-// Arrival-process layer for the million-session FSM load engine (ISSUE 9):
-// the compact SmallRng, piecewise rate envelopes (flash crowd, diurnal),
-// nonhomogeneous Poisson sampling, and Zipf item popularity. Statistical
-// checks run under fixed seeds with generous tolerances, so they are exact
-// regression pins, not flaky moment estimates.
+// Arrival-process layer for the million-session FSM load engine: piecewise
+// rate envelopes (flash crowd, diurnal), nonhomogeneous Poisson sampling,
+// and Zipf item popularity (the generator is tested in sim_random_test).
+// Statistical checks run under fixed seeds with generous tolerances, so
+// they are exact regression pins, not flaky moment estimates.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,80 +18,6 @@ namespace {
 
 using sim::Duration;
 using sim::sec;
-
-// --- SmallRng ----------------------------------------------------------------
-
-TEST(SmallRngTest, StreamsArePureFunctionsOfSeedAndIndex) {
-  // Per-session streams must not depend on creation order: the seed for
-  // stream k is a pure function of (seed, k).
-  EXPECT_EQ(SmallRng::stream_seed(42, 7), SmallRng::stream_seed(42, 7));
-  EXPECT_NE(SmallRng::stream_seed(42, 7), SmallRng::stream_seed(42, 8));
-  EXPECT_NE(SmallRng::stream_seed(42, 7), SmallRng::stream_seed(43, 7));
-  EXPECT_EQ(SmallRng::named_seed(42, "fsm-local-browser"),
-            SmallRng::named_seed(42, "fsm-local-browser"));
-  EXPECT_NE(SmallRng::named_seed(42, "fsm-local-browser"),
-            SmallRng::named_seed(42, "fsm-local-writer"));
-
-  SmallRng a{SmallRng::stream_seed(42, 7)};
-  SmallRng b{SmallRng::stream_seed(42, 7)};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
-TEST(SmallRngTest, StateRoundTripsThroughAWord) {
-  // The engine suspends a session's rng as one 64-bit word; resuming from
-  // state() must continue the exact sequence.
-  SmallRng reference{SmallRng::stream_seed(9, 3)};
-  SmallRng live{SmallRng::stream_seed(9, 3)};
-  for (int i = 0; i < 10; ++i) (void)reference.next_u64();
-  for (int i = 0; i < 10; ++i) (void)live.next_u64();
-  SmallRng resumed{live.state()};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(resumed.next_u64(), reference.next_u64());
-}
-
-TEST(SmallRngTest, UniformMomentsAndRange) {
-  SmallRng rng{SmallRng::stream_seed(1, 0)};
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double u = rng.uniform01();
-    ASSERT_GE(u, 0.0);
-    ASSERT_LT(u, 1.0);
-    sum += u;
-  }
-  EXPECT_NEAR(sum / n, 0.5, 0.01);
-}
-
-TEST(SmallRngTest, ExponentialHasTheRequestedMean) {
-  SmallRng rng{SmallRng::stream_seed(2, 0)};
-  double sum = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(0.25);
-  EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
-TEST(SmallRngTest, WeightedIndexTracksWeights) {
-  // The Table 2 browser weights, same contract as RngStream::weighted_index.
-  const std::array<double, 5> weights{5, 15, 30, 45, 5};
-  SmallRng rng{SmallRng::stream_seed(3, 0)};
-  std::array<int, 5> hits{};
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) hits[rng.weighted_index(weights)]++;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(hits[i]) / n, weights[i] / 100.0, 0.02) << "index " << i;
-  }
-}
-
-TEST(SmallRngTest, UniformIntCoversInclusiveRange) {
-  SmallRng rng{SmallRng::stream_seed(4, 0)};
-  std::array<int, 5> hits{};
-  for (int i = 0; i < 5000; ++i) {
-    const std::int64_t v = rng.uniform_int(10, 14);
-    ASSERT_GE(v, 10);
-    ASSERT_LE(v, 14);
-    hits[static_cast<std::size_t>(v - 10)]++;
-  }
-  for (int h : hits) EXPECT_GT(h, 0);
-}
 
 // --- RateEnvelope ------------------------------------------------------------
 
@@ -176,7 +102,7 @@ TEST(RateEnvelopeTest, ScaledMultipliesEveryRate) {
 
 // --- PoissonProcess ----------------------------------------------------------
 
-std::vector<Duration> arrivals_until(const PoissonProcess& p, SmallRng& rng, Duration horizon) {
+std::vector<Duration> arrivals_until(const PoissonProcess& p, sim::Rng& rng, Duration horizon) {
   std::vector<Duration> out;
   Duration t = Duration::zero();
   while (true) {
@@ -190,7 +116,7 @@ std::vector<Duration> arrivals_until(const PoissonProcess& p, SmallRng& rng, Dur
 
 TEST(PoissonProcessTest, ConstantRateMatchesExpectedCount) {
   const PoissonProcess p{RateEnvelope::constant(50.0)};
-  SmallRng rng{SmallRng::stream_seed(10, 0)};
+  sim::Rng rng{sim::Rng::stream_seed(10, 0)};
   const auto ts = arrivals_until(p, rng, sec(200));
   // 10k expected; 3 sigma ~ 300.
   EXPECT_NEAR(static_cast<double>(ts.size()), 10000.0, 300.0);
@@ -201,7 +127,7 @@ TEST(PoissonProcessTest, CountsTrackAStepEnvelope) {
   // A 10x step up and back down: each segment's count matches its own rate.
   const PoissonProcess p{RateEnvelope::steps(
       {{Duration::zero(), 2.0}, {sec(100), 20.0}, {sec(200), 2.0}})};
-  SmallRng rng{SmallRng::stream_seed(11, 0)};
+  sim::Rng rng{sim::Rng::stream_seed(11, 0)};
   const auto ts = arrivals_until(p, rng, sec(300));
   std::array<int, 3> seg{};
   for (Duration t : ts) seg[static_cast<std::size_t>(t.count_micros() / sec(100).count_micros())]++;
@@ -212,7 +138,7 @@ TEST(PoissonProcessTest, CountsTrackAStepEnvelope) {
 
 TEST(PoissonProcessTest, ZeroRateSegmentsProduceNoArrivals) {
   const PoissonProcess p{RateEnvelope::steps({{Duration::zero(), 0.0}, {sec(50), 10.0}})};
-  SmallRng rng{SmallRng::stream_seed(12, 0)};
+  sim::Rng rng{sim::Rng::stream_seed(12, 0)};
   const auto ts = arrivals_until(p, rng, sec(100));
   ASSERT_FALSE(ts.empty());
   EXPECT_GE(ts.front(), sec(50));
@@ -221,7 +147,7 @@ TEST(PoissonProcessTest, ZeroRateSegmentsProduceNoArrivals) {
 
 TEST(PoissonProcessTest, EndsWhenTheRateDropsToZeroForever) {
   const PoissonProcess p{RateEnvelope::steps({{Duration::zero(), 10.0}, {sec(50), 0.0}})};
-  SmallRng rng{SmallRng::stream_seed(13, 0)};
+  sim::Rng rng{sim::Rng::stream_seed(13, 0)};
   Duration t = Duration::zero();
   int count = 0;
   while (const auto next = p.next_after(t, rng)) {
@@ -234,8 +160,8 @@ TEST(PoissonProcessTest, EndsWhenTheRateDropsToZeroForever) {
 
 TEST(PoissonProcessTest, DeterministicUnderAFixedSeed) {
   const PoissonProcess p{RateEnvelope::flash_crowd(5.0, 8.0, sec(30), sec(10))};
-  SmallRng a{SmallRng::stream_seed(14, 0)};
-  SmallRng b{SmallRng::stream_seed(14, 0)};
+  sim::Rng a{sim::Rng::stream_seed(14, 0)};
+  sim::Rng b{sim::Rng::stream_seed(14, 0)};
   EXPECT_EQ(arrivals_until(p, a, sec(100)), arrivals_until(p, b, sec(100)));
 }
 
@@ -243,7 +169,7 @@ TEST(PoissonProcessTest, DeterministicUnderAFixedSeed) {
 
 TEST(ZipfSamplerTest, FrequenciesConvergeToTheClosedForm) {
   const ZipfSampler zipf{100, 1.0};
-  SmallRng rng{SmallRng::stream_seed(20, 0)};
+  sim::Rng rng{sim::Rng::stream_seed(20, 0)};
   std::vector<int> hits(zipf.size(), 0);
   const int n = 200000;
   for (int i = 0; i < n; ++i) hits[zipf.sample(rng)]++;
@@ -263,7 +189,7 @@ TEST(ZipfSamplerTest, ZeroExponentIsUniform) {
   for (std::size_t k = 0; k < zipf.size(); ++k) {
     EXPECT_NEAR(zipf.expected_freq(k), 1.0 / 8.0, 1e-12);
   }
-  SmallRng rng{SmallRng::stream_seed(21, 0)};
+  sim::Rng rng{sim::Rng::stream_seed(21, 0)};
   std::vector<int> hits(zipf.size(), 0);
   for (int i = 0; i < 16000; ++i) hits[zipf.sample(rng)]++;
   for (int h : hits) EXPECT_NEAR(h, 2000, 200);
@@ -273,7 +199,7 @@ TEST(ZipfSamplerTest, HigherExponentConcentratesTheHead) {
   const ZipfSampler mild{360, 0.8};
   const ZipfSampler sharp{360, 2.0};
   EXPECT_LT(mild.expected_freq(0), sharp.expected_freq(0));
-  SmallRng rng{SmallRng::stream_seed(22, 0)};
+  sim::Rng rng{sim::Rng::stream_seed(22, 0)};
   int head = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) head += sharp.sample(rng) == 0 ? 1 : 0;

@@ -4,6 +4,7 @@
 #include "core/placement/algorithms.hpp"
 #include "core/placement/graph.hpp"
 #include "core/placement/model.hpp"
+#include "sim/random.hpp"
 
 namespace mutsvc::core::placement {
 namespace {
@@ -312,13 +313,12 @@ TEST(AlgorithmsTest, ExhaustiveThrowsOnHugeSearchSpace) {
   EXPECT_THROW((void)solve_exhaustive(p), std::invalid_argument);
 }
 
-TEST(AlgorithmsTest, LocalSearchAndAnnealingMatchExhaustiveOnChain) {
+TEST(AlgorithmsTest, BranchAndBoundMatchesExhaustiveOnChain) {
   PlacementProblem p = chain_problem();
   SolveResult exact = solve_exhaustive(p);
-  SolveResult ls = solve_local_search(p, sim::RngStream{3});
-  SolveResult sa = solve_annealing(p, sim::RngStream{3});
-  EXPECT_NEAR(ls.cost, exact.cost, 1e-9);
-  EXPECT_NEAR(sa.cost, exact.cost, 1e-9);
+  SolveResult bb = solve_branch_and_bound(p);
+  EXPECT_NEAR(bb.cost, exact.cost, 1e-9);
+  EXPECT_EQ(bb.assignment, exact.assignment);
 }
 
 TEST(AlgorithmsTest, BranchAndBoundMatchesExhaustiveWithFewerEvaluations) {
@@ -328,7 +328,7 @@ TEST(AlgorithmsTest, BranchAndBoundMatchesExhaustiveWithFewerEvaluations) {
   p.graph.add_vertex(Vertex{"__client_local__", VertexKind::kClientLocal});
   p.graph.add_vertex(Vertex{"__client_remote__", VertexKind::kClientRemote});
   p.graph.add_vertex(Vertex{"__database__", VertexKind::kDatabase});
-  sim::RngStream rng{13};
+  sim::Rng rng{13};
   for (int i = 0; i < 16; ++i) {
     VertexKind kind = i % 3 == 0   ? VertexKind::kWebComponent
                       : i % 3 == 1 ? VertexKind::kStatelessService
@@ -353,7 +353,7 @@ TEST(AlgorithmsTest, BranchAndBoundScalesPastExhaustiveLimit) {
   p.graph.add_vertex(Vertex{"__client_local__", VertexKind::kClientLocal});
   p.graph.add_vertex(Vertex{"__client_remote__", VertexKind::kClientRemote});
   p.graph.add_vertex(Vertex{"__database__", VertexKind::kDatabase});
-  sim::RngStream rng{77};
+  sim::Rng rng{77};
   for (int c = 0; c < 10; ++c) {  // ten independent 3-component chains
     std::string web = "web" + std::to_string(c);
     std::string svc = "svc" + std::to_string(c);
@@ -368,11 +368,8 @@ TEST(AlgorithmsTest, BranchAndBoundScalesPastExhaustiveLimit) {
   }
   EXPECT_THROW((void)solve_exhaustive(p), std::invalid_argument);
   SolveResult bb = solve_branch_and_bound(p);
-  SolveResult sa = solve_annealing(p, sim::RngStream{5});
-  EXPECT_LE(bb.cost, sa.cost + 1e-9);  // exact is never beaten
+  EXPECT_LE(bb.cost, solve_greedy(p).cost + 1e-9);  // exact is never beaten
   EXPECT_LT(bb.cost, CostModel{p}.centralized_cost() / 5.0);
-  // Independent chains make the optimum separable: annealing should tie.
-  EXPECT_NEAR(bb.cost, sa.cost, sa.cost * 0.05 + 1e-6);
 }
 
 TEST(AlgorithmsTest, GreedyNeverWorseThanCentralized) {
@@ -381,21 +378,12 @@ TEST(AlgorithmsTest, GreedyNeverWorseThanCentralized) {
   EXPECT_LE(g.cost, CostModel{p}.centralized_cost() + 1e-9);
 }
 
-TEST(AlgorithmsTest, DeterministicForSameSeed) {
-  PlacementProblem p = chain_problem(1.0);
-  SolveResult a = solve_annealing(p, sim::RngStream{11});
-  SolveResult b = solve_annealing(p, sim::RngStream{11});
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.assignment, b.assignment);
-}
-
-/// Property sweep over random layered graphs: heuristics never beat the
-/// exact optimum, never lose to centralized, and annealing matches the
-/// optimum on these small instances.
+/// Property sweep over random layered graphs: branch-and-bound matches the
+/// exhaustive optimum, and greedy never beats it nor loses to centralized.
 class RandomGraphSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomGraphSweep, HeuristicBounds) {
-  sim::RngStream rng{GetParam()};
+  sim::Rng rng{GetParam()};
   PlacementProblem p;
   p.graph.add_vertex(Vertex{"__client_local__", VertexKind::kClientLocal});
   p.graph.add_vertex(Vertex{"__client_remote__", VertexKind::kClientRemote});
@@ -422,18 +410,10 @@ TEST_P(RandomGraphSweep, HeuristicBounds) {
   SolveResult exact = solve_exhaustive(p);
   SolveResult bb = solve_branch_and_bound(p);
   SolveResult greedy = solve_greedy(p);
-  SolveResult ls = solve_local_search(p, rng.fork("ls"));
-  SolveResult sa = solve_annealing(p, rng.fork("sa"));
 
   EXPECT_NEAR(bb.cost, exact.cost, 1e-9);  // branch-and-bound is exact
   EXPECT_LE(exact.cost, greedy.cost + 1e-9);
-  EXPECT_LE(exact.cost, ls.cost + 1e-9);
-  EXPECT_LE(exact.cost, sa.cost + 1e-9);
   EXPECT_LE(greedy.cost, centralized + 1e-9);
-  EXPECT_LE(ls.cost, centralized + 1e-9);
-  EXPECT_LE(sa.cost, centralized + 1e-9);
-  // Annealing with polish should be near-exact on these sizes.
-  EXPECT_LE(sa.cost, exact.cost * 1.05 + 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphSweep,

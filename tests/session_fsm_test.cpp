@@ -51,7 +51,7 @@ class FakeExecutor final : public RequestExecutor {
 class FixedModel final : public FsmScriptModel {
  public:
   explicit FixedModel(const char* pattern) : pattern_(pattern) {}
-  std::optional<PageRequest> next(std::uint32_t step, FsmScratch&, SmallRng&) const override {
+  std::optional<PageRequest> next(std::uint32_t step, FsmScratch&, sim::Rng&) const override {
     if (step >= 3) return std::nullopt;
     PageRequest req;
     req.page = "P" + std::to_string(step);
@@ -68,7 +68,7 @@ class FixedModel final : public FsmScriptModel {
 
 class EmptyModel final : public FsmScriptModel {
  public:
-  std::optional<PageRequest> next(std::uint32_t, FsmScratch&, SmallRng&) const override {
+  std::optional<PageRequest> next(std::uint32_t, FsmScratch&, sim::Rng&) const override {
     return std::nullopt;
   }
   const char* pattern() const override { return "Empty"; }
@@ -218,8 +218,8 @@ std::uint64_t digest_run(std::uint64_t seed, std::size_t sessions, double rate) 
   const std::uint8_t o = engine.add_kind(std::make_shared<FixedModel>("Writer"),
                                          net::NodeId{0}, stats::ClientGroup::kLocal);
   const sim::SimTime end = sim::SimTime::origin() + sec(90);
-  engine.start_population(b, sessions, end, SmallRng::named_seed(seed, "b"));
-  engine.start_arrivals(o, RateEnvelope::constant(rate), end, SmallRng::named_seed(seed, "o"));
+  engine.start_population(b, sessions, end, sim::Rng::named_seed(seed, "b"));
+  engine.start_arrivals(o, RateEnvelope::constant(rate), end, sim::Rng::named_seed(seed, "o"));
   w.sim.run_until();
   // Fold every observable into one word: any divergence flips the digest.
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -257,7 +257,7 @@ class ReferenceDriver {
   void start_population(const FsmScriptModel& model, std::size_t count, sim::SimTime end_at,
                         std::uint64_t seed) {
     for (std::size_t i = 0; i < count; ++i) {
-      sim_.spawn(run_session(model, SmallRng::stream_seed(seed, i), end_at));
+      sim_.spawn(run_session(model, sim::Rng::stream_seed(seed, i), end_at));
     }
   }
 
@@ -266,7 +266,7 @@ class ReferenceDriver {
  private:
   [[nodiscard]] Task<void> run_session(const FsmScriptModel& model, std::uint64_t rng_seed,
                                        sim::SimTime end_at) {
-    SmallRng rng{rng_seed};
+    sim::Rng rng{rng_seed};
     // Same stagger rule: the session's own first draw, uniform over one
     // think interval.
     co_await sim_.wait(
@@ -306,7 +306,7 @@ class ReferenceDriver {
 class RandomWalkModel final : public FsmScriptModel {
  public:
   std::optional<PageRequest> next(std::uint32_t step, FsmScratch& scratch,
-                                  SmallRng& rng) const override {
+                                  sim::Rng& rng) const override {
     if (step == 0) scratch.w0 = static_cast<std::uint64_t>(rng.uniform_int(0, 9));
     const auto len = 2 + scratch.w0 % 4;  // session length 2..5, drawn at step 0
     if (step >= len) return std::nullopt;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/future.hpp"
+#include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -15,7 +16,7 @@ namespace {
 
 TEST(SimulatorStressTest, RandomInsertionOrderFiresSorted) {
   Simulator sim{99};
-  RngStream rng{123};
+  Rng rng{123};
   std::vector<double> fire_times;
   std::vector<double> scheduled;
   for (int i = 0; i < 5000; ++i) {
@@ -37,10 +38,10 @@ TEST(SimulatorStressTest, RandomInsertionOrderFiresSorted) {
 TEST(SimulatorStressTest, IdenticalSeedsProduceIdenticalSchedules) {
   auto run = [](std::uint64_t seed) {
     Simulator sim{seed};
-    RngStream rng = sim.rng().fork("load");
+    Rng rng{Rng::named_seed(sim.seed(), "load")};
     std::vector<double> log;
     for (int i = 0; i < 200; ++i) {
-      sim.spawn([](Simulator& s, RngStream& r, std::vector<double>& log) -> Task<void> {
+      sim.spawn([](Simulator& s, Rng& r, std::vector<double>& log) -> Task<void> {
         co_await s.wait(Duration::seconds(r.uniform(0.0, 1.0)));
         log.push_back(s.now().as_millis());
       }(sim, rng, log));
@@ -146,17 +147,6 @@ TEST(FutureTest, SignalFiredBeforeWaitResumesImmediately) {
   }(sig, sim, woke_at));
   sim.run_until();
   EXPECT_DOUBLE_EQ(woke_at, 0.0);
-}
-
-TEST(RngStreamTest, DeepForkChainsStayIndependent) {
-  RngStream root{5};
-  RngStream a = root.fork("x").fork("y").fork("z");
-  RngStream b = root.fork("x").fork("y").fork("w");
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a.uniform01() == b.uniform01()) ++equal;
-  }
-  EXPECT_LT(equal, 5);
 }
 
 }  // namespace

@@ -58,6 +58,26 @@ TEST(SimlintRawRandom, FlagsRandomDeviceAndRand) {
   EXPECT_EQ(count_rule(f, "raw-random"), 3u);
 }
 
+TEST(SimlintRawRandom, FlagsStdDistributions) {
+  // The standard fixes its engines but not its distribution algorithms, so
+  // std::*_distribution draws move between standard libraries.
+  const auto f = lint_source("src/a.cpp",
+                             "void draw() {\n"
+                             "  std::uniform_int_distribution<int> d{0, 9};\n"
+                             "  auto x = ::std::normal_distribution<double>{}(g);\n"
+                             "  int my_distribution = 0;\n"
+                             "  mystd::bernoulli_distribution b;\n"
+                             "  std::distribution_count n;\n"
+                             "}\n");
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].rule, "raw-random");
+  EXPECT_EQ(f[0].line, 2);
+  EXPECT_NE(f[0].message.find("std::uniform_int_distribution"), std::string::npos);
+  EXPECT_NE(f[0].message.find("sim::Rng"), std::string::npos);
+  EXPECT_EQ(f[1].rule, "raw-random");
+  EXPECT_EQ(f[1].line, 3);
+}
+
 TEST(SimlintRawRandom, ExemptsSimRandomHeader) {
   const auto f = lint_source("src/sim/random.hpp", "std::mt19937_64 engine_;\n");
   EXPECT_EQ(count_rule(f, "raw-random"), 0u);

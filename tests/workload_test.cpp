@@ -46,7 +46,7 @@ class FakeExecutor final : public RequestExecutor {
 class FixedModel final : public FsmScriptModel {
  public:
   explicit FixedModel(const char* pattern) : pattern_(pattern) {}
-  std::optional<PageRequest> next(std::uint32_t step, FsmScratch&, SmallRng&) const override {
+  std::optional<PageRequest> next(std::uint32_t step, FsmScratch&, sim::Rng&) const override {
     if (step >= 3) return std::nullopt;
     PageRequest req;
     req.page = "P" + std::to_string(step);
@@ -63,7 +63,7 @@ class FixedModel final : public FsmScriptModel {
 
 class EmptyModel final : public FsmScriptModel {
  public:
-  std::optional<PageRequest> next(std::uint32_t, FsmScratch&, SmallRng&) const override {
+  std::optional<PageRequest> next(std::uint32_t, FsmScratch&, sim::Rng&) const override {
     return std::nullopt;
   }
   const char* pattern() const override { return "Empty"; }

@@ -246,8 +246,28 @@ void rule_wall_clock(const FileCtx& ctx, std::vector<Finding>& out) {
 
 // --- rule: raw-random --------------------------------------------------------
 
+/// The first `std::<name>_distribution` on the line, or "". The standard
+/// fixes its engines' sequences but not these algorithms, so their draws
+/// differ between standard libraries.
+std::string std_distribution(const std::string& line) {
+  static const std::string kSuffix = "_distribution";
+  for (std::size_t pos = line.find("std::"); pos != std::string::npos;
+       pos = line.find("std::", pos + 1)) {
+    if (pos > 0 && ident_char(line[pos - 1])) continue;
+    std::size_t end = pos + 5;
+    while (end < line.size() && ident_char(line[end])) ++end;
+    const std::string name = line.substr(pos, end - pos);
+    if (name.size() > 5 + kSuffix.size() && name.ends_with(kSuffix)) return name;
+  }
+  return {};
+}
+
 void rule_raw_random(const FileCtx& ctx, std::vector<Finding>& out) {
   if (ctx.path_contains("sim/random.hpp")) return;
+  auto flag = [&](std::size_t i, const std::string& what) {
+    add_finding(out, ctx, static_cast<int>(i + 1), "raw-random",
+                "raw randomness '" + what + "' — draw from a named sim::Rng instead");
+  };
   struct Tok {
     const char* t;
     bool call;
@@ -259,12 +279,9 @@ void rule_raw_random(const FileCtx& ctx, std::vector<Finding>& out) {
                                 {"srand", true}};
   for (std::size_t i = 0; i < ctx.code.size(); ++i) {
     for (const Tok& tok : kTokens) {
-      if (has_token(ctx.code[i], tok.t, tok.call)) {
-        add_finding(out, ctx, static_cast<int>(i + 1), "raw-random",
-                    std::string("raw randomness '") + tok.t +
-                        "' — draw from a named sim::RngStream instead");
-      }
+      if (has_token(ctx.code[i], tok.t, tok.call)) flag(i, tok.t);
     }
+    if (const std::string dist = std_distribution(ctx.code[i]); !dist.empty()) flag(i, dist);
   }
 }
 

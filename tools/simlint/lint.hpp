@@ -25,9 +25,9 @@ struct RuleInfo {
 ///  wall-clock      wall-clock time sources (system_clock, gettimeofday, ...)
 ///                  outside sim/time.hpp — simulated time must come from the
 ///                  Simulator, or runs stop being reproducible.
-///  raw-random      ad-hoc randomness (std::random_device, rand(), mt19937)
-///                  outside sim/random.hpp — every draw must come from a
-///                  named, seeded RngStream.
+///  raw-random      ad-hoc randomness (std::random_device, rand(), mt19937,
+///                  std::*_distribution) outside sim/random.hpp — every
+///                  draw must come from a named, seeded sim::Rng.
 ///  unordered-iter  iteration over a container declared as unordered_map /
 ///                  unordered_set — iteration order is unspecified and can
 ///                  leak into results.
