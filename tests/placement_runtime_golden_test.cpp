@@ -125,16 +125,16 @@ const char* level_name(ConfigLevel level) {
 // a disabled one.
 const GoldenCase kGolden[] = {
     {"petstore", ConfigLevel::kCentralized, 184503ULL, 4431ULL, 14345765407345139304ULL},
-    {"petstore", ConfigLevel::kRemoteFacade, 145455ULL, 4431ULL, 5607309187336314253ULL},
-    {"petstore", ConfigLevel::kStatefulComponentCaching, 142637ULL, 4427ULL,
-     8039515761806727875ULL},
-    {"petstore", ConfigLevel::kQueryCaching, 125283ULL, 4425ULL, 8734688780895832549ULL},
-    {"petstore", ConfigLevel::kAsyncUpdates, 124962ULL, 4428ULL, 1831380009496248795ULL},
+    {"petstore", ConfigLevel::kRemoteFacade, 145393ULL, 4432ULL, 15033724962952285849ULL},
+    {"petstore", ConfigLevel::kStatefulComponentCaching, 142389ULL, 4428ULL,
+     6297918495393530090ULL},
+    {"petstore", ConfigLevel::kQueryCaching, 125023ULL, 4425ULL, 10562578862203141645ULL},
+    {"petstore", ConfigLevel::kAsyncUpdates, 124704ULL, 4428ULL, 10206610957341539091ULL},
     {"rubis", ConfigLevel::kCentralized, 116314ULL, 4456ULL, 7606743695388975701ULL},
-    {"rubis", ConfigLevel::kRemoteFacade, 121083ULL, 4459ULL, 15480849066502569456ULL},
-    {"rubis", ConfigLevel::kStatefulComponentCaching, 123887ULL, 4458ULL, 6277302474167510068ULL},
-    {"rubis", ConfigLevel::kQueryCaching, 117245ULL, 4460ULL, 15195890597386992004ULL},
-    {"rubis", ConfigLevel::kAsyncUpdates, 116169ULL, 4461ULL, 11164707895593709445ULL},
+    {"rubis", ConfigLevel::kRemoteFacade, 120896ULL, 4459ULL, 9818542370210285705ULL},
+    {"rubis", ConfigLevel::kStatefulComponentCaching, 123670ULL, 4455ULL, 319374606990573374ULL},
+    {"rubis", ConfigLevel::kQueryCaching, 116889ULL, 4458ULL, 17835991927406106880ULL},
+    {"rubis", ConfigLevel::kAsyncUpdates, 115801ULL, 4461ULL, 4718862757013261715ULL},
 };
 
 class PlacementRuntimeGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
