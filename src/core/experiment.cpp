@@ -46,10 +46,10 @@ Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
   comp::DeploymentPlan plan = spec_.custom_plan
                                   ? spec_.custom_plan(nodes_)
                                   : build_plan(*driver_.app, *driver_.meta, nodes_, spec_.level);
-  // Before the Runtime exists: domain tagging must see an empty event heap,
-  // and the Runtime's construction-time spawns (update coalescer) land in
-  // the tagged main domain.
-  setup_domains(plan);
+  // Per-caller-node RMI streams: a node's draw sequence does not depend on
+  // how calls from other nodes interleave. Stream seeds are pure functions
+  // of (root seed, name).
+  rmi_.partition_streams(topo_.node_count());
   runtime_ = std::make_unique<comp::Runtime>(sim_, topo_, net_, rmi_, *db_, *driver_.app,
                                              std::move(plan), runtime_config_for(cal_, spec_));
   driver_.bind_entities(*runtime_);
@@ -77,48 +77,6 @@ Experiment::Experiment(const apps::AppDriver& driver, ExperimentSpec spec,
     net_.set_fault_injector(faults_.get());
     faults_->arm();
   }
-}
-
-void Experiment::setup_domains(const comp::DeploymentPlan& plan) {
-  std::vector<std::uint32_t> groups = topo_.lookahead_domains(net_.wan_threshold());
-
-  if (plan.update_mode() == comp::UpdateMode::kAsyncPush) {
-    // Asynchronous updates couple the publisher with every subscriber: the
-    // topics' drain tasks touch provider-side queue state from the
-    // subscriber's side of a delivery, so all coupled islands share one
-    // domain. (Blocking push needs no merge — each push is an ordinary RMI
-    // whose server work runs at the edge.) The merge fixes the owner tags,
-    // and so the event order every async-rung golden pins.
-    const std::uint32_t main_group = groups[plan.main_server().value()];
-    std::vector<char> to_main(groups.size(), 0);  // indexed by group id (< node count)
-    to_main[main_group] = 1;
-    for (const auto& [entity, replica_nodes] : plan.ro_replicas()) {
-      for (net::NodeId n : replica_nodes) to_main[groups[n.value()]] = 1;
-    }
-    for (net::NodeId n : plan.query_cache_nodes()) to_main[groups[n.value()]] = 1;
-    for (std::uint32_t& g : groups) {
-      if (to_main[g] != 0) g = main_group;
-    }
-  }
-
-  // Renumber dense in node order (node 0's island is always domain 0).
-  std::vector<std::uint32_t> remap(groups.size(), UINT32_MAX);
-  std::uint32_t domain_count = 0;
-  node_domains_.resize(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (remap[groups[i]] == UINT32_MAX) remap[groups[i]] = domain_count++;
-    node_domains_[i] = static_cast<sim::Simulator::DomainId>(remap[groups[i]]);
-  }
-  if (domain_count > 256) {
-    throw std::invalid_argument("Experiment: more than 256 lookahead domains");
-  }
-
-  sim_.enable_domains(domain_count);
-  net_.set_domains(node_domains_);
-  // Per-caller-node RMI streams: a node's draw sequence does not depend on
-  // how calls from other nodes interleave. Stream seeds are pure functions
-  // of (root seed, name).
-  rmi_.partition_streams(topo_.node_count());
 }
 
 sim::FifoResource& Experiment::thread_pool(net::NodeId server) {
@@ -344,12 +302,8 @@ void Experiment::start_load(sim::SimTime end) {
     fsm_engines_.push_back(std::move(engine));
   };
 
-  {
-    sim::Simulator::DomainScope in_domain(sim_, domain_of(nodes_.local_clients));
-    start_group(0, nodes_.local_clients, stats::ClientGroup::kLocal, "fsm-local");
-  }
+  start_group(0, nodes_.local_clients, stats::ClientGroup::kLocal, "fsm-local");
   for (std::size_t i = 0; i < nodes_.remote_clients.size(); ++i) {
-    sim::Simulator::DomainScope in_domain(sim_, domain_of(nodes_.remote_clients[i]));
     start_group(i + 1, nodes_.remote_clients[i], stats::ClientGroup::kRemote,
                 "fsm-remote-" + std::to_string(i));
   }
@@ -365,10 +319,7 @@ void Experiment::run() {
   if (controller_ != nullptr) controller_->start(end);
 
   // Utilization accounting starts after warm-up, like the measurements.
-  // One reset event per node, in the node's own domain — a node's CPU
-  // counters are only ever touched from its island.
   for (std::uint32_t i = 0; i < topo_.node_count(); ++i) {
-    sim::Simulator::DomainScope in_domain(sim_, node_domains_[i]);
     sim_.schedule_at(sim::SimTime::origin() + spec_.warmup, [this, i] {
       topo_.node(net::NodeId{i}).cpu->reset_utilization();
     });

@@ -186,12 +186,6 @@ class Experiment final : public workload::RequestExecutor {
   [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
   [[nodiscard]] std::uint64_t dropped_requests() const { return dropped_; }
 
-  /// Lookahead domain that owns a node's events (after the async-update
-  /// coupling merge).
-  [[nodiscard]] sim::Simulator::DomainId domain_of(net::NodeId n) const {
-    return node_domains_[n.value()];
-  }
-
   // --- admission accounting -------------------------------------------------
   // Counted at execute() entry, so the identity
   //   pages_started == requests_admitted + rejected_admission
@@ -264,13 +258,6 @@ class Experiment final : public workload::RequestExecutor {
                                                comp::TraceSink& sink);
 
  private:
-  /// Partitions the testbed into lookahead domains (LAN islands, with the
-  /// async-update-coupled islands merged into one) and installs the domain
-  /// tags on the kernel and the network — the owner part of the
-  /// (time, owner, seq) event order. Must run before any component
-  /// schedules an event, so it is called before the Runtime is built.
-  void setup_domains(const comp::DeploymentPlan& plan);
-
   /// Builds one SessionFsmEngine per client group for run().
   void start_load(sim::SimTime end);
 
@@ -303,15 +290,12 @@ class Experiment final : public workload::RequestExecutor {
   std::unique_ptr<comp::PlacementController> controller_;
   std::unique_ptr<net::FaultInjector> faults_;
   stats::ResponseTimeCollector collector_;
-  /// One load engine per client group, each living in its group's domain.
+  /// One load engine per client group.
   std::vector<std::unique_ptr<workload::SessionFsmEngine>> fsm_engines_;
   std::map<net::NodeId, std::unique_ptr<sim::FifoResource>> thread_pools_;
   /// One admission bucket per entry node (lazily created; empty unless the
   /// flow config enables admission control).
   std::map<net::NodeId, net::TokenBucket> admission_;
-  /// Node → lookahead domain after the coupling merge; installed on the
-  /// kernel and the network at construction.
-  std::vector<sim::Simulator::DomainId> node_domains_;
   std::uint64_t failovers_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t admitted_ = 0;

@@ -39,13 +39,7 @@ sim::Task<void> Network::deliver(NodeId from, NodeId to, Bytes size) {
     co_await link->serializer->consume(link->transmission_time(size));
     sim::Duration hop_latency = link->latency + per_hop_overhead_;
     if (faults_ != nullptr) hop_latency += faults_->jitter(*link);
-    // The propagation wait carries the delivery into the destination
-    // node's lookahead domain (DESIGN §15); untagged runs take a plain wait.
-    if (!domain_of_node_.empty()) {
-      co_await sim_.wait_in(domain_of_node_[link->to.value()], hop_latency);
-    } else {
-      co_await sim_.wait(hop_latency);
-    }
+    co_await sim_.wait(hop_latency);
     if (lost) {
       ++messages_lost_;
       bytes_lost_ += size;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "net/flowcontrol.hpp"
 #include "net/topology.hpp"
@@ -47,19 +46,6 @@ class Network {
   [[nodiscard]] Topology& topology() { return topo_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
-  /// Installs the node→lookahead-domain map (DESIGN §15). Once set, every
-  /// hop's propagation wait resumes the delivery in the destination node's
-  /// domain (`wait_in`), which is the only way an event crosses a domain
-  /// boundary. Same-domain hops degenerate to a local wait.
-  void set_domains(std::vector<sim::Simulator::DomainId> domain_of_node) {
-    domain_of_node_ = std::move(domain_of_node);
-  }
-
-  /// Lookahead domain that owns a node's events (0 when none are installed).
-  [[nodiscard]] sim::Simulator::DomainId domain_of(NodeId n) const {
-    return domain_of_node_.empty() ? 0 : domain_of_node_[n.value()];
-  }
-
   // --- accounting ---------------------------------------------------------
   // A message counts as "sent" only once a live route was resolved (a send
   // that throws NoRouteError generated no traffic). Lost messages DID
@@ -77,9 +63,8 @@ class Network {
   }
 
   /// A link is "WAN" if its propagation latency passes this threshold;
-  /// used for accounting (tests assert WAN-crossing counts per page), for
-  /// selecting which links the WAN rate limit applies to, and as the
-  /// lookahead-domain boundary.
+  /// used for accounting (tests assert WAN-crossing counts per page) and for
+  /// selecting which links the WAN rate limit applies to.
   void set_wan_threshold(sim::Duration d) { wan_threshold_ = d; }
   [[nodiscard]] sim::Duration wan_threshold() const { return wan_threshold_; }
 
@@ -104,7 +89,6 @@ class Network {
   double wan_rate_bps_ = 0.0;  // 0 = no WAN shaping (the default)
   Bytes wan_burst_bytes_ = 0;
   std::map<std::pair<std::uint32_t, std::uint32_t>, RateLimiter> wan_limiters_;
-  std::vector<sim::Simulator::DomainId> domain_of_node_;  // empty = untagged
   std::uint64_t wan_throttled_ = 0;
   sim::Duration wan_throttle_;
   std::uint64_t messages_ = 0;

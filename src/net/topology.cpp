@@ -1,6 +1,5 @@
 #include "net/topology.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -161,35 +160,6 @@ sim::Duration Topology::path_latency(NodeId a, NodeId b) {
   sim::Duration total = sim::Duration::zero();
   for (Link* l : path(a, b)) total += l->latency;
   return total;
-}
-
-std::vector<std::uint32_t> Topology::lookahead_domains(sim::Duration wan_threshold) const {
-  // Union-find over the sub-threshold (LAN) links.
-  std::vector<std::uint32_t> parent(nodes_.size());
-  for (std::uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const auto& link : links_) {
-    if (link->latency >= wan_threshold) continue;
-    const std::uint32_t a = find(link->from.value());
-    const std::uint32_t b = find(link->to.value());
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
-  // Dense domain ids in node order, so domain 0 is the lowest-id island.
-  std::vector<std::uint32_t> domain(nodes_.size(), 0);
-  std::vector<std::uint32_t> id_of_root(nodes_.size(), std::numeric_limits<std::uint32_t>::max());
-  std::uint32_t next = 0;
-  for (std::uint32_t i = 0; i < domain.size(); ++i) {
-    const std::uint32_t root = find(i);
-    if (id_of_root[root] == std::numeric_limits<std::uint32_t>::max()) id_of_root[root] = next++;
-    domain[i] = id_of_root[root];
-  }
-  return domain;
 }
 
 }  // namespace mutsvc::net

@@ -112,13 +112,6 @@ class Topology {
   /// Sum of propagation latencies along the route (no queueing/transmission).
   [[nodiscard]] sim::Duration path_latency(NodeId a, NodeId b);
 
-  /// Partitions nodes into lookahead domains, the owner tags of the event
-  /// order (DESIGN §15): connected components of the links whose latency is
-  /// below `wan_threshold`, link up/down state ignored (a flapping link is
-  /// still the same boundary). Only WAN links separate domains. Returns
-  /// domain id per node index, ids dense and assigned in node order.
-  [[nodiscard]] std::vector<std::uint32_t> lookahead_domains(sim::Duration wan_threshold) const;
-
   /// Round-trip propagation latency.
   [[nodiscard]] sim::Duration rtt(NodeId a, NodeId b) {
     return path_latency(a, b) + path_latency(b, a);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <stdexcept>
 
 namespace mutsvc::sim {
 
@@ -35,38 +34,10 @@ constexpr std::uintptr_t kResumeBit = 1;
 
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed) : dseq_(1, 0), seed_(seed) {}
+Simulator::Simulator(std::uint64_t seed) : seed_(seed) {}
 
-Simulator::DomainScope::DomainScope(Simulator& sim, DomainId d)
-    : sim_(sim), prev_(sim.current_domain_) {
-  if (sim.domain_count_ > 0 && d >= sim.domain_count_) {
-    throw std::out_of_range("Simulator::DomainScope: domain out of range");
-  }
-  sim.current_domain_ = d;
-}
-
-Simulator::DomainScope::~DomainScope() { sim_.current_domain_ = prev_; }
-
-void Simulator::enable_domains(std::uint32_t count) {
-  if (count == 0 || count > 256) {
-    throw std::invalid_argument("Simulator: domain count must be in [1, 256]");
-  }
-  if (domain_count_ > 0) throw std::logic_error("Simulator: domains already enabled");
-  if (!heap_.empty() || executed_ > 0) {
-    throw std::logic_error("Simulator: enable domains before scheduling events");
-  }
-  domain_count_ = count;
-  dseq_.assign(count, 0);
-}
-
-std::uint64_t Simulator::next_key(DomainId target, DomainId owner) {
-  if (domain_count_ == 0) return dseq_[0]++;
-  return (static_cast<std::uint64_t>(target) << 56) |
-         (static_cast<std::uint64_t>(owner) << 48) | dseq_[owner]++;
-}
-
-void Simulator::push_event(SimTime at, std::uint64_t key, std::uintptr_t payload) {
-  heap_.push_back(HeapNode{at, key, payload});
+void Simulator::push_event(SimTime at, std::uintptr_t payload) {
+  heap_.push_back(HeapNode{at, next_seq_++, payload});
   std::push_heap(heap_.begin(), heap_.end(), NodeOrder{});
 }
 
@@ -85,29 +56,12 @@ std::uintptr_t Simulator::make_slot(EventFn fn) {
 
 void Simulator::schedule_at(SimTime at, EventFn fn) {
   if (at < now_) at = now_;
-  const DomainId d = domain_count_ > 0 ? current_domain_ : 0;
-  const std::uint64_t key = next_key(d, d);
-  push_event(at, key, make_slot(std::move(fn)));
+  push_event(at, make_slot(std::move(fn)));
 }
 
 void Simulator::schedule_resume_at(SimTime at, std::coroutine_handle<> h) {
   if (at < now_) at = now_;
-  const DomainId d = domain_count_ > 0 ? current_domain_ : 0;
-  push_event(at, next_key(d, d), reinterpret_cast<std::uintptr_t>(h.address()) | kResumeBit);
-}
-
-void Simulator::schedule_resume_in(DomainId dest, Duration d, std::coroutine_handle<> h) {
-  if (domain_count_ == 0) {  // bare simulator: no domains to cross
-    schedule_resume_after(d, h);
-    return;
-  }
-  if (dest >= domain_count_) {
-    throw std::out_of_range("Simulator::wait_in: destination domain out of range");
-  }
-  SimTime at = now_ + d;
-  if (at < now_) at = now_;
-  push_event(at, next_key(dest, current_domain_),
-             reinterpret_cast<std::uintptr_t>(h.address()) | kResumeBit);
+  push_event(at, reinterpret_cast<std::uintptr_t>(h.address()) | kResumeBit);
 }
 
 void Simulator::spawn(Task<void> task) {
@@ -132,18 +86,14 @@ void Simulator::dispatch(const HeapNode& node) {
 
 std::size_t Simulator::run_until(SimTime until) {
   const std::size_t before = executed_;
-  const DomainId prev_domain = current_domain_;
-  const bool tagged = domain_count_ > 0;
   while (!heap_.empty() && heap_.front().at <= until) {
     std::pop_heap(heap_.begin(), heap_.end(), NodeOrder{});
     const HeapNode node = heap_.back();
     heap_.pop_back();
     now_ = node.at;
-    if (tagged) current_domain_ = static_cast<DomainId>(node.key >> 56);
     dispatch(node);
     ++executed_;
   }
-  current_domain_ = prev_domain;
   if (until != SimTime::max() && now_ < until) now_ = until;
   return executed_ - before;
 }

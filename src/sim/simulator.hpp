@@ -16,26 +16,15 @@ namespace mutsvc::sim {
 /// time fire in insertion order (stable FIFO tie-break), which makes runs
 /// fully deterministic.
 ///
-/// Hot-path layout: the heap itself holds 24-byte POD nodes (time, order
-/// key, payload), so sift operations are plain memmoves with no callable
+/// Hot-path layout: the heap itself holds 24-byte POD nodes (time, seq,
+/// payload), so sift operations are plain memmoves with no callable
 /// moves. A payload with bit 0 set is a bare coroutine-resume handle — the
 /// dominant `wait()` path — executed without ever touching the callable
 /// slab; otherwise the payload is a slab slot (an `EventFn` recycled through
 /// a freelist). Slot recycling is driven purely by the (deterministic)
 /// event order, so it never perturbs results.
-///
-/// Lookahead domains (DESIGN §15): `enable_domains()` tags every event with
-/// the domain that created it (owner) and the domain it runs in (target).
-/// The order key packs `target(8) | owner(8) | per-owner seq(48)` and the
-/// heap comparator masks the target byte off, so execution order is
-/// `(time, owner, seq)` — a total order assigned where the event is
-/// *created*. Every golden and every checked-in event count pins this order,
-/// which is why the tagging stays although the kernel runs sequentially.
-/// With domains disabled the key degenerates to the global FIFO sequence.
 class Simulator {
  public:
-  using DomainId = std::uint8_t;
-
   explicit Simulator(std::uint64_t seed = 1);
 
   Simulator(const Simulator&) = delete;
@@ -95,70 +84,21 @@ class Simulator {
   /// `Rng::named_seed(seed(), "<name>")`.
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  // --- lookahead domains (event order, DESIGN §15) -------------------------
-
-  /// Turns on domain tagging with `count` domains. Must be called before
-  /// any event is scheduled.
-  void enable_domains(std::uint32_t count);
-
-  /// Domain that owns the currently executing event (events it schedules
-  /// are tagged with it). 0 outside event execution unless a DomainScope is
-  /// active.
-  [[nodiscard]] DomainId current_domain() const { return current_domain_; }
-
-  /// RAII scope that sets the scheduling domain for setup-time code (client
-  /// spawns, per-node timers). Must not span a co_await.
-  class DomainScope {
-   public:
-    DomainScope(Simulator& sim, DomainId d);
-    ~DomainScope();
-    DomainScope(const DomainScope&) = delete;
-    DomainScope& operator=(const DomainScope&) = delete;
-
-   private:
-    Simulator& sim_;
-    DomainId prev_;
-  };
-
-  /// Awaitable that resumes the current task in domain `dest` after `d`:
-  /// the hop that carries a message across a lookahead boundary. The resume
-  /// is keyed at the sender (`next_key(dest, current)`), so it sorts in the
-  /// sender's sequence.
-  [[nodiscard]] auto wait_in(DomainId dest, Duration d) {
-    struct Awaiter {
-      Simulator& sim;
-      DomainId dest;
-      Duration d;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { sim.schedule_resume_in(dest, d, h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, dest, d};
-  }
-
  private:
-  /// Order key: target(8) | owner(8) | per-owner sequence(48). The
-  /// comparator masks the target byte so the order is (time, owner, seq).
-  /// Untagged events use owner 0 and the global sequence: exactly the
-  /// legacy (time, seq) FIFO order.
-  static constexpr std::uint64_t kOrderMask = 0x00FF'FFFF'FFFF'FFFFULL;
-
   struct HeapNode {
     SimTime at;
-    std::uint64_t key;
+    std::uint64_t seq;       // global insertion order: the FIFO tie-break
     std::uintptr_t payload;  // bit 0: coroutine handle; else slab slot << 1
   };
   struct NodeOrder {
     bool operator()(const HeapNode& a, const HeapNode& b) const {
-      if (a.at != b.at) return a.at > b.at;                      // min-heap on time
-      return (a.key & kOrderMask) > (b.key & kOrderMask);        // (owner, seq)
+      if (a.at != b.at) return a.at > b.at;  // min-heap on time
+      return a.seq > b.seq;
     }
   };
 
-  [[nodiscard]] std::uint64_t next_key(DomainId target, DomainId owner);
-  void push_event(SimTime at, std::uint64_t key, std::uintptr_t payload);
+  void push_event(SimTime at, std::uintptr_t payload);
   [[nodiscard]] std::uintptr_t make_slot(EventFn fn);
-  void schedule_resume_in(DomainId dest, Duration d, std::coroutine_handle<> h);
   void dispatch(const HeapNode& node);
 
   SimTime now_;
@@ -166,9 +106,7 @@ class Simulator {
   std::vector<HeapNode> heap_;
   std::vector<EventFn> slots_;             // slab of pending callables
   std::vector<std::uint32_t> free_slots_;  // recycled slab slots
-  std::uint32_t domain_count_ = 0;         // 0 = untagged legacy mode
-  DomainId current_domain_ = 0;
-  std::vector<std::uint64_t> dseq_;        // per-owner sequence counters
+  std::uint64_t next_seq_ = 0;
   std::uint64_t seed_;
 };
 

@@ -81,8 +81,7 @@ class FsmScriptModel {
 /// requests_in_flight()`.
 ///
 /// Determinism: all engine state is touched only from the engine's own
-/// events, so an engine constructed under a DomainScope schedules every
-/// event in that domain, and bucket drains sort by (due time, session id).
+/// events, and bucket drains sort by (due time, session id).
 /// Per-session rng streams are pure functions of (seed, stream index).
 class SessionFsmEngine {
  public:

@@ -273,6 +273,25 @@ TEST(RubisExperimentTest, CustomPlanOverridesLadder) {
   EXPECT_TRUE(exp.runtime().plan().has(comp::Feature::kAsyncUpdates));
 }
 
+TEST(RubisExperimentTest, ThreeHundredEdgeSitesRunAndConserveRequests) {
+  // The testbed size has no cap: 300 edge sites give 301 WAN islands, and
+  // the run must still account for every request it issues.
+  static apps::rubis::RubisApp app;
+  HarnessCalibration cal = rubis_calibration();
+  cal.testbed.edge_count = 300;
+  ExperimentSpec spec = short_spec(ConfigLevel::kRemoteFacade, 20.0, 5.0);
+  spec.total_request_rate = 301.0;  // 1 req/s per client group
+  Experiment exp{app.driver(), spec, cal};
+  ASSERT_EQ(exp.nodes().edge_servers.size(), 300u);
+  exp.run();
+
+  const auto& r = exp.results();
+  EXPECT_GT(r.total_samples(), 0u);
+  EXPECT_EQ(exp.requests_issued(), r.total_samples() + r.failures() + r.rejections() +
+                                       r.discarded_samples() + exp.requests_in_flight());
+  EXPECT_EQ(exp.requests_issued(), exp.pages_started());
+}
+
 TEST(PlacementIntegrationTest, AdvisorRediscoversThePaperConfiguration) {
   auto exp = run_petstore(ConfigLevel::kRemoteFacade, 300.0);
   placement::GraphBuildOptions opts;

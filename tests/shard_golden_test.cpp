@@ -105,12 +105,11 @@ const char* level_name(ConfigLevel level) {
   return "?";
 }
 
-// Captured from the domain-tagged baseline (DESIGN §15): every experiment
-// orders events by (time, owner-domain, per-domain sequence), with per-node
-// RMI jitter streams and per-node warm-up resets. 180 s / 30 s warm-up,
-// default spec, both figure apps, all five rungs. Each row therefore pins
-// the event order itself: a change to the domain partition, the async-push
-// island merge or the order key moves the event counts and digests here.
+// Captured on the plain (time, seq) FIFO event order (DESIGN §15), with
+// per-node RMI jitter streams and per-node warm-up resets. 180 s / 30 s
+// warm-up, default spec, both figure apps, all five rungs. Each row
+// therefore pins the event order itself: a change to the same-time
+// tie-break moves the event counts and digests here.
 const GoldenCase kGolden[] = {
     {"petstore", ConfigLevel::kCentralized, 184503ULL, 4431ULL, 14345765407345139304ULL},
     {"petstore", ConfigLevel::kRemoteFacade, 145393ULL, 4432ULL, 15033724962952285849ULL},

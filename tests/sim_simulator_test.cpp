@@ -322,27 +322,7 @@ TEST(SimMutexTest, MutualExclusionFifo) {
 }
 
 
-// --- domain-tagged event order (DESIGN §15) ----------------------------------
-
-TEST(TaggedOrderTest, SameTimeEventsOrderByOwnerThenSequence) {
-  // The order key is (time, owner, seq): at equal times every event created
-  // by domain 0 runs before any created by domain 1, whatever the order of
-  // creation.
-  Simulator sim;
-  sim.enable_domains(2);
-  std::vector<int> order;
-  {
-    Simulator::DomainScope scope(sim, 1);
-    sim.schedule_after(ms(5), [&] { order.push_back(10); });
-    sim.schedule_after(ms(5), [&] { order.push_back(11); });
-  }
-  {
-    Simulator::DomainScope scope(sim, 0);
-    sim.schedule_after(ms(5), [&] { order.push_back(0); });
-  }
-  sim.run_until();
-  EXPECT_EQ(order, (std::vector<int>{0, 10, 11}));
-}
+// --- the (time, seq) event order at trajectory level (DESIGN §15) ----------
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -352,15 +332,12 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// One task per domain: local timer chatter plus a periodic hop to the next
-// domain and back through wait_in — the cross-domain edge the Network takes.
-// Every iteration appends to a shared log, so the interleaving of the
-// domains (not just the totals) is pinned.
-[[nodiscard]] Task<void> domain_chatter(Simulator& sim, std::uint32_t id, std::uint32_t domains,
-                                        Rng rng, std::vector<std::uint64_t>& log,
-                                        SimTime end) {
-  const auto dest = static_cast<Simulator::DomainId>((id + 1) % domains);
-  const auto home = static_cast<Simulator::DomainId>(id);
+// Four tasks of local timer chatter, each with a periodic 60 ms + 50 ms
+// round trip. Every iteration appends to a shared log, so the interleaving
+// of the tasks (not just the totals) is pinned, and with it the kernel's
+// FIFO tie-break between same-time events of different tasks.
+[[nodiscard]] Task<void> chatter(Simulator& sim, std::uint32_t id, Rng rng,
+                                 std::vector<std::uint64_t>& log, SimTime end) {
   std::uint64_t draws = 0;
   while (sim.now() < end) {
     for (int i = 0; i < 3; ++i) {
@@ -370,32 +347,28 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
       log.push_back((static_cast<std::uint64_t>(id) << 56) ^
                     (static_cast<std::uint64_t>(sim.now().count_micros()) << 8) ^ (draw & 0xff));
     }
-    co_await sim.wait_in(dest, ms(60));
-    co_await sim.wait_in(home, ms(50));
+    co_await sim.wait(ms(60));
+    co_await sim.wait(ms(50));
   }
   log.push_back(draws);
 }
 
-TEST(TaggedOrderTest, DomainChatterTrajectoryIsPinned) {
-  constexpr std::uint32_t kDomains = 4;
+TEST(SimulatorTest, ChatterTrajectoryIsPinned) {
+  constexpr std::uint32_t kTasks = 4;
   Simulator sim(90125);
-  sim.enable_domains(kDomains);
   const SimTime end = SimTime::origin() + sec(6);
   std::vector<std::uint64_t> log;
-  for (std::uint32_t d = 0; d < kDomains; ++d) {
-    Simulator::DomainScope scope(sim, static_cast<Simulator::DomainId>(d));
-    sim.spawn(domain_chatter(sim, d, kDomains,
-                             Rng{Rng::named_seed(sim.seed(), "chatter-" + std::to_string(d))},
-                             log, end));
+  for (std::uint32_t t = 0; t < kTasks; ++t) {
+    sim.spawn(chatter(sim, t, Rng{Rng::named_seed(sim.seed(), "chatter-" + std::to_string(t))},
+                      log, end));
   }
   sim.run_until(end);
   std::uint64_t h = 1469598103934665603ULL;
   for (std::uint64_t v : log) h = fnv1a(h, v);
   h = fnv1a(h, log.size());
-  // Pinned values: a change to the (time, owner, seq) key, or to how
-  // wait_in keys a cross-domain resume, moves the digest.
+  // Pinned values: a change to the (time, seq) order moves the digest.
   EXPECT_EQ(sim.executed_events(), 1072u);
-  EXPECT_EQ(h, 17924762491294115999ULL);
+  EXPECT_EQ(h, 8874167643449512967ULL);
 }
 
 }  // namespace

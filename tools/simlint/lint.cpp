@@ -556,13 +556,14 @@ void rule_sim_shared_across_threads(const FileCtx& ctx, std::vector<Finding>& ou
 // --- rule: cross-node-state --------------------------------------------------
 
 /// Per-node replica state (read-only caches, query caches, JDBC clients,
-/// store-and-forward write queues) lives in node-keyed containers. Under
-/// per-node event queues (ROADMAP item 2) reaching into one of those
-/// containers directly is how an event on node A silently touches node B's
-/// state without a Network/Topic edge bounding the lookahead window. The
-/// sanctioned doors are the node-checked accessors; any direct subscript /
-/// member call on a node-keyed container in component/cache/db code is
-/// flagged and must carry an explicit allow.
+/// store-and-forward write queues) lives in node-keyed containers. In the
+/// model no node touches another node's state except across a Network or
+/// Topic edge, which charges the wire time and bytes the paper measures;
+/// reaching into one of those containers directly lets an event on node A
+/// read or write node B's state for free. The sanctioned doors are the
+/// node-checked accessors; any direct subscript / member call on a
+/// node-keyed container in component/cache/db code is flagged and must
+/// carry an explicit allow.
 void rule_cross_node_state(const FileCtx& ctx, std::vector<Finding>& out) {
   if (!ctx.path_contains("component/") && !ctx.path_contains("cache/") &&
       !ctx.path_contains("db/")) {

@@ -49,8 +49,8 @@ struct RuleInfo {
 ///                  container (identifiers ending caches_/clients_/queues_)
 ///                  in component/cache/db code — reaching another node's
 ///                  object must go through the node-checked accessors or a
-///                  net::Network / msg::Topic edge, or per-node event
-///                  queues (ROADMAP item 2) would race on it.
+///                  net::Network / msg::Topic edge, which charges the wire
+///                  time a cross-node access costs in the model.
 ///  ambient-node-capture
 ///                  deferred work (spawn / schedule_at / schedule_after /
 ///                  subscribe) whose lambda default-captures by reference
