@@ -114,12 +114,12 @@ const GoldenCase kGolden[] = {
     {"petstore", ConfigLevel::kCentralized, 184503ULL, 4431ULL, 14345765407345139304ULL},
     {"petstore", ConfigLevel::kRemoteFacade, 145393ULL, 4432ULL, 15033724962952285849ULL},
     {"petstore", ConfigLevel::kStatefulComponentCaching, 142389ULL, 4428ULL,
-     6297918495393530090ULL},
-    {"petstore", ConfigLevel::kQueryCaching, 125023ULL, 4425ULL, 10562578862203141645ULL},
-    {"petstore", ConfigLevel::kAsyncUpdates, 124704ULL, 4428ULL, 10206610957341539091ULL},
+     5033475807889748115ULL},
+    {"petstore", ConfigLevel::kQueryCaching, 125024ULL, 4425ULL, 10562578862203141645ULL},
+    {"petstore", ConfigLevel::kAsyncUpdates, 124705ULL, 4428ULL, 10206610957341539091ULL},
     {"rubis", ConfigLevel::kCentralized, 116314ULL, 4456ULL, 7606743695388975701ULL},
     {"rubis", ConfigLevel::kRemoteFacade, 120896ULL, 4459ULL, 9818542370210285705ULL},
-    {"rubis", ConfigLevel::kStatefulComponentCaching, 123670ULL, 4455ULL, 319374606990573374ULL},
+    {"rubis", ConfigLevel::kStatefulComponentCaching, 123671ULL, 4455ULL, 319374606990573374ULL},
     {"rubis", ConfigLevel::kQueryCaching, 116889ULL, 4458ULL, 17835991927406106880ULL},
     {"rubis", ConfigLevel::kAsyncUpdates, 115801ULL, 4461ULL, 4718862757013261715ULL},
 };
