@@ -196,18 +196,14 @@ CellResult run_cell(const Cell& cell, const Scenario& sc) {
 
 int main() {
   // The quiesce/canary/forward-epoch cycle needs tens of seconds of sim
-  // time per flip, so MUTSVC_FAST trims the run to 1.5 diurnal periods
-  // rather than shrinking the period itself (the cells are cheap: the whole
-  // sweep is well under a second of wall time either way).
+  // time per flip, so the run covers two diurnal periods plus warm-up; a
+  // shorter run leaves the controller too few half-periods to clear its
+  // migration gate by more than one flip. The cells are cheap: the whole
+  // sweep is well under a second of wall time.
   Scenario sc;
   sc.period = mutsvc::sim::sec(300);
-  if (std::getenv("MUTSVC_FAST") != nullptr) {
-    sc.duration = mutsvc::sim::sec(480);
-    sc.warmup = mutsvc::sim::sec(30);
-  } else {
-    sc.duration = mutsvc::sim::sec(660);
-    sc.warmup = mutsvc::sim::sec(60);
-  }
+  sc.duration = mutsvc::sim::sec(660);
+  sc.warmup = mutsvc::sim::sec(60);
 
   const std::vector<Cell> cells{
       {"static_e0", 0, false},      {"static_e1", 1, false}, {"static_both", -1, false},
